@@ -3,7 +3,7 @@
 A ``Tensor`` wraps a contiguous row-major numpy array (float32 or float64).
 Gradients are recorded define-by-run: while a ``Tape`` is active, every op
 that touches an attached tensor appends a node with a backward closure.
-``backward(loss)`` walks the node list in reverse, accumulating gradients
+``backward(loss)`` pops the node list in reverse, accumulating gradients
 into the watched leaves. Tapes are rebuilt per forward pass and are confined
 to a single thread.
 
@@ -150,6 +150,7 @@ class Tape:
 
     nodes: list = field(default_factory=list)
     next_id: int = 0
+    consumed: bool = False
     _watched: list = field(default_factory=list)
 
     def _alloc(self) -> int:
@@ -488,18 +489,23 @@ def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     return eff_h // stride + 1, eff_w // stride + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, s: int, ho: int, wo: int) -> np.ndarray:
-    b, c = xp.shape[:2]
-    cols = np.empty((b, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
-    return cols.reshape(b, c * kh * kw, ho * wo)
+def _conv_taps(h: int, w: int, kh: int, kw: int, ho: int, wo: int, stride: int, padding: int):
+    """(i, j, (out rows, in rows), (out cols, in cols)) per kernel tap, clipped to
+    the map (empty if the tap sees only padding): output r reads stride*r + i - padding."""
+    def axis(n: int, n_out: int, i: int):
+        lo = max(0, -((i - padding) // stride))
+        hi = max(lo, min(n_out, (n - 1 + padding - i) // stride + 1))
+        return slice(lo, hi), slice(stride * lo + i - padding, stride * hi + i - padding, stride)
+
+    return [(i, j, axis(h, ho, i), axis(w, wo, j)) for i in range(kh) for j in range(kw)]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of B x C x H x W input with O x C x kh x kw kernels."""
+    """2-D cross-correlation of B x C x H x W input with O x C x kh x kw kernels,
+    as kn2row: one GEMM gives kh*kw*O per-tap outputs at every input pixel, and
+    each tap's window is added in at its offset. No padding or im2col columns
+    are built; the tape keeps x and w."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeMismatch(f"conv2d expects 4-d input and weight, got {xd.shape}, {wd.shape}")
@@ -510,32 +516,24 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     if b is not None and b.data.shape != (o,):
         raise ShapeMismatch(f"conv2d bias shape {b.data.shape}, expected ({o},)")
     ho, wo = _conv_geometry(h, width, kh, kw, stride, padding)
-
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        xp = xd
-        cols = xd.reshape(bsz, c, h * width)
-    else:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
-    w2 = wd.reshape(o, c * kh * kw)
-    data = (w2 @ cols).reshape(bsz, o, ho, wo)
-    if b is not None:
-        data = data + b.data[:, None, None]
+    taps = _conv_taps(h, width, kh, kw, ho, wo, stride, padding)
+    x2 = xd.reshape(bsz, c, h * width)
+    wt = wd.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+    z = (wt @ x2).reshape(bsz, kh, kw, o, h, width)
+    data = np.zeros((bsz, o, ho, wo), z.dtype)
+    if b is not None:  # start from the bias: adding it last rounds worse
+        data += b.data[:, None, None]
+    for i, j, (ro, ri), (co, ci) in taps:
+        data[:, :, ro, co] += z[:, i, j, :, ri, ci]
 
     def backward(g):
-        g2 = g.reshape(bsz, o, ho * wo)
+        gz = np.zeros((bsz, kh, kw, o, h, width), dtype=g.dtype)
+        for i, j, (ro, ri), (co, ci) in taps:
+            gz[:, i, j, :, ri, ci] = g[:, :, ro, co]
+        gz = gz.reshape(bsz, kh * kw * o, h * width)
+        gx = (wt.T @ gz).reshape(xd.shape)
+        gw = (gz @ x2.transpose(0, 2, 1)).sum(axis=0).reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
         gb = g.sum(axis=(0, 2, 3)) if b is not None else None
-        gw = np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(wd.shape)
-        gcols = w2.T @ g2
-        if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-            gx = gcols.reshape(xd.shape)
-        else:
-            gcols6 = gcols.reshape(bsz, c, kh, kw, ho, wo)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols6[:, :, i, j]
-            gx = gxp[:, :, padding:padding + h, padding:padding + width] if padding else gxp
         return gx, gw, gb
 
     return _out("conv2d", (x, w, b), data, backward)
@@ -680,16 +678,18 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 def backward(loss: Tensor) -> None:
     """Populate gradients of every watched leaf reachable from ``loss``.
 
-    Unreachable watched leaves receive zero gradients. The tape is traversed
-    once, in reverse topological order.
+    Unreachable watched leaves receive zero gradients. The tape is consumed in
+    reverse topological order: each node is freed once used; a second call raises.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward() needs a scalar loss, got shape {loss.shape}")
     tape = loss._tape
-    if tape is None or loss.tape_id is None:
-        raise DetachedTensor("loss tensor is not attached to a tape")
+    if tape is None or loss.tape_id is None or tape.consumed:
+        raise DetachedTensor("loss tensor is not attached to a tape, or backward() already consumed it")
+    tape.consumed = True
     grads = {loss.tape_id: np.ones_like(loss.data)}
-    for node in reversed(tape.nodes):
+    while tape.nodes:  # popping frees each node's closure and activations once used
+        node = tape.nodes.pop()
         g = grads.pop(node.output_id, None)
         if g is None:
             continue

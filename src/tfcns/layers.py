@@ -132,7 +132,7 @@ class MHSABlock(Module):
     out = MHSA(LN(z)) + z, with per-head scaled dot-product attention.
 
     The most recent attention weights (B, heads, T, T) are kept on
-    ``last_attention`` for inspection.
+    ``last_attention`` for inspection; treat that array as read-only.
     """
 
     def __init__(self, embed_dim: int, n_heads: int, rng: np.random.Generator,
@@ -165,7 +165,7 @@ class MHSABlock(Module):
         scale = 1.0 / np.sqrt(self.head_dim)
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
         attn = ad.softmax(scores, axis=-1)
-        self.last_attention = attn.data.copy()
+        self.last_attention = attn.data
         attn = self.drop(attn, training, rng)
         ctx = ad.matmul(attn, v)
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
@@ -259,11 +259,11 @@ class RLTransformerEncoder(Module):
 
 
 class _BranchGate(Module):
-    """Shared machinery of the skip-connection gates: N bias-free 1x1-conv
-    branches of K kernels each, reduced over channels to one map per branch,
-    normalized per sample over the spatial extent, and concatenated. A
-    spatial path (1x1 conv over the normalized maps) and a channel path
-    (linear over the per-branch spatial means) feed the sigmoid gating.
+    """Shared machinery of the skip-connection gates: N bias-free 1x1-conv branches of
+    K kernels each, reduced over channels to one map per branch, normalized per sample
+    over the spatial extent, and concatenated. A spatial path (1x1 conv over the
+    normalized maps) and a channel path (linear over the per-branch spatial means) feed
+    the sigmoid gating; the latest gate is kept on ``last_gate`` (treat it as read-only).
 
     The channel path pools each branch map before normalization: the
     normalized maps have exactly zero spatial mean by construction, so
@@ -318,7 +318,7 @@ class CLAB(_BranchGate):
         spatial = self.gate_conv(xm)
         channel = self._channel_logits(means, b)
         gate = ad.sigmoid(ad.add(spatial, channel))
-        self.last_gate = gate.data.copy()
+        self.last_gate = gate.data
         return ad.mul(x, gate)
 
     __call__ = forward
@@ -339,7 +339,7 @@ class CUABLike(_BranchGate):
         x1 = ad.mul(x, spatial_gate)
         _, means = self._branch_features(x1)
         channel_gate = ad.sigmoid(self._channel_logits(means, b))
-        self.last_gate = (spatial_gate.data * channel_gate.data).copy()
+        self.last_gate = spatial_gate.data * channel_gate.data
         return ad.mul(x1, channel_gate)
 
     __call__ = forward

@@ -65,3 +65,23 @@ def hd95_bruteforce(pred: np.ndarray, ref: np.ndarray, cls: int, spacing=1.0):
         best = min(((a[0] - b[0]) * sy) ** 2 + ((a[1] - b[1]) * sx) ** 2 for b in pb)
         dists.append(np.sqrt(best))
     return float(np.percentile(np.array(dists), 95))
+
+
+def conv2d_direct(x: np.ndarray, w: np.ndarray, b, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Cross-correlation by explicit loops over every output pixel and kernel
+    tap; taps that land in the zero padding are skipped."""
+    bsz, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((bsz, o, ho, wo), dtype=np.float64)
+    for r in range(ho):
+        for s in range(wo):
+            for i in range(kh):
+                for j in range(kw):
+                    y, xx = r * stride + i - padding, s * stride + j - padding
+                    if 0 <= y < h and 0 <= xx < wd:
+                        out[:, :, r, s] += x[:, :, y, xx].astype(np.float64) @ w[:, :, i, j].T.astype(np.float64)
+    if b is not None:
+        out += np.asarray(b, dtype=np.float64)[None, :, None, None]
+    return out

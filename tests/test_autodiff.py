@@ -1,6 +1,9 @@
 """Tensor ops: forward semantics, error conditions, and finite-difference
 gradient checks for every differentiable op."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ import tfcns.autodiff as ad
 from tfcns.autodiff import Tape, Tensor, backward, grad_check, grad_check_tensors
 from tfcns.errors import DetachedTensor, NonFiniteValue, NotScalar, ShapeMismatch
 
-from oracles import erf_series
+from oracles import conv2d_direct, erf_series
 
 F64 = np.float64
 
@@ -85,6 +88,42 @@ class TestConv2d:
         b = t64(rng.standard_normal(3))
         wc = rng.standard_normal((2, 3, 3, 3))
         err = grad_check_tensors(lambda: ad.mul(ad.conv2d(x, w, b, 2, 0), wc).sum(), [x, w, b])
+        assert err < 1e-5
+
+    # (B, C, H, W), (O, kh, kw), stride, padding
+    ORACLE_CASES = {
+        "dense_layer": ((2, 20, 6, 6), (8, 3, 3), 1, 1),
+        "stem": ((2, 1, 7, 7), (24, 3, 3), 1, 1),
+        "one_by_one": ((2, 5, 4, 4), (3, 1, 1), 1, 0),
+        "2x2_stride2": ((2, 3, 6, 6), (4, 2, 2), 2, 0),
+        "3x3_stride2_pad1": ((1, 3, 7, 7), (4, 3, 3), 2, 1),
+        "non_square": ((2, 3, 5, 8), (4, 3, 3), 1, 1),
+        "kernel_covers_padded_map": ((1, 2, 3, 4), (2, 5, 6), 1, 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_forward_matches_direct_loops(self, case, rng):
+        (bsz, c, h, w), (o, kh, kw), stride, padding = self.ORACLE_CASES[case]
+        x = rng.standard_normal((bsz, c, h, w))
+        wt = rng.standard_normal((o, c, kh, kw))
+        b = rng.standard_normal(o)
+        out = ad.conv2d(t64(x), t64(wt), t64(b), stride, padding).data
+        assert np.allclose(out, conv2d_direct(x, wt, b, stride, padding), rtol=0, atol=1e-12)
+        x, wt, b = (a.astype(np.float32) for a in (x, wt, b))
+        out = ad.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride, padding).data
+        # float32 rounding scales with the summed magnitudes, not with the result
+        scale = conv2d_direct(np.abs(x), np.abs(wt), np.abs(b), stride, padding)
+        assert out.dtype == np.float32
+        assert np.all(np.abs(out - conv2d_direct(x, wt, b, stride, padding)) <= 1e-5 * scale)
+
+    @pytest.mark.parametrize("case", ["3x3_stride2_pad1", "non_square"])
+    def test_grads_match_finite_differences_on_oracle_cases(self, case, rng):
+        (bsz, c, h, w), (o, kh, kw), stride, padding = self.ORACLE_CASES[case]
+        x = t64(rng.standard_normal((bsz, c, h, w)))
+        wt = t64(rng.standard_normal((o, c, kh, kw)))
+        b = t64(rng.standard_normal(o))
+        probe = rng.standard_normal(ad.conv2d(x, wt, b, stride, padding).shape)
+        err = grad_check_tensors(lambda: ad.mul(ad.conv2d(x, wt, b, stride, padding), probe).sum(), [x, wt, b])
         assert err < 1e-5
 
 
@@ -338,6 +377,38 @@ class TestBackward:
             tape.watch(x)
             backward(ad.mul(x, x).sum())  # d(x^2)/dx = 2x
         assert np.allclose(x.grad, [6.0], atol=1e-12)
+
+    def test_backward_empties_the_tape(self, rng):
+        x = t64(rng.standard_normal((2, 3)))
+        with Tape() as tape:
+            tape.watch(x)
+            backward(ad.gelu(ad.mul(x, x)).sum())
+        assert tape.nodes == []
+
+    def test_activations_freed_without_garbage_collection(self, rng):
+        x = t64(rng.standard_normal((2, 3)))
+        gc.disable()
+        try:
+            with Tape() as tape:
+                tape.watch(x)
+                hidden = ad.gelu(ad.mul(x, 2.0))
+                ref = weakref.ref(hidden.data)
+                loss = ad.mul(hidden, hidden).sum()
+                backward(loss)
+            del hidden, loss
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_second_backward_on_a_tape_raises(self, rng):
+        x = t64(rng.standard_normal(3))
+        with Tape() as tape:
+            tape.watch(x)
+            loss = ad.mul(x, x).sum()
+            backward(loss)
+            with pytest.raises(DetachedTensor):
+                backward(loss)
+        assert np.allclose(x.grad, 2.0 * x.data, atol=1e-12)
 
 
 class TestFiniteGuard:
