@@ -12,18 +12,21 @@ Image tensors use the B x C x H x W layout throughout.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import DetachedTensor, NonFiniteValue, NotScalar, ShapeMismatch
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats are weak scalars to numpy, so ops keep their input's dtype;
+# an np.float64 constant here would promote every float32 activation.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _contig(arr: np.ndarray) -> np.ndarray:
@@ -315,9 +318,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    with np.errstate(over="ignore"):
-        data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    data = expit(a.data)
 
     def backward(g):
         return (g * data * (1.0 - data),)
@@ -540,8 +541,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:
-    """Transposed convolution (adjoint of conv2d): C x O x kh x kw kernels,
-    output spatial dims (H-1)*stride + kh."""
+    """Transposed convolution (adjoint of conv2d) with C x O x k x k kernels and
+    stride k, so windows never overlap: one GEMM gives every output pixel, and a
+    pixel shuffle lays the k*k taps out as an (H*k) x (W*k) map."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeMismatch(f"conv_transpose2d expects 4-d operands, got {xd.shape}, {wd.shape}")
@@ -549,28 +551,23 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
     cw, o, kh, kw = wd.shape
     if cw != c:
         raise ShapeMismatch(f"conv_transpose2d channel mismatch: input {c}, weight {cw}")
+    if kh != stride or kw != stride:
+        raise ShapeMismatch(f"conv_transpose2d needs kernel equal to stride, got {kh}x{kw} and {stride}")
     if b is not None and b.data.shape != (o,):
         raise ShapeMismatch(f"conv_transpose2d bias shape {b.data.shape}, expected ({o},)")
-    ho = (h - 1) * stride + kh
-    wo = (width - 1) * stride + kw
-
-    t = np.tensordot(xd, wd, axes=([1], [0]))  # (B,H,W,O,kh,kw)
-    data = np.zeros((bsz, o, ho, wo), dtype=xd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            data[:, :, i:i + stride * h:stride, j:j + stride * width:stride] += t[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    x2 = xd.reshape(bsz, c, h * width)
+    wm = wd.reshape(c, o * kh * kw)
+    z = (wm.T @ x2).reshape(bsz, o, kh, kw, h, width)
+    data = z.transpose(0, 1, 4, 2, 5, 3).reshape(bsz, o, h * kh, width * kw)
     if b is not None:
         data += b.data[:, None, None]
 
     def backward(g):
+        gz = g.reshape(bsz, o, h, kh, width, kw).transpose(0, 1, 3, 5, 2, 4).reshape(bsz, o * kh * kw, h * width)
+        gx = (wm @ gz).reshape(xd.shape)
+        gw = np.tensordot(x2, gz, axes=([0, 2], [0, 2])).reshape(wd.shape)
         gb = g.sum(axis=(0, 2, 3)) if b is not None else None
-        gath = np.empty((bsz, o, kh, kw, h, width), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gath[:, :, i, j] = g[:, :, i:i + stride * h:stride, j:j + stride * width:stride]
-        gx = np.tensordot(gath, wd, axes=([1, 2, 3], [1, 2, 3])).transpose(0, 3, 1, 2)
-        gw = np.tensordot(xd, gath, axes=([0, 2, 3], [0, 4, 5]))
-        return np.ascontiguousarray(gx), gw, gb
+        return gx, gw, gb
 
     return _out("conv_transpose2d", (x, w, b), data, backward)
 
@@ -579,52 +576,29 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
 # pooling and normalization
 # ---------------------------------------------------------------------------
 
-def _pool_view(xd: np.ndarray, wh: int, ww: int):
-    b, c, h, w = xd.shape
-    if h % wh or w % ww:
-        raise ShapeMismatch(f"pool window {wh}x{ww} does not tile {h}x{w}")
-    return xd.reshape(b, c, h // wh, wh, w // ww, ww), h // wh, w // ww
-
-
 def avg_pool(x: Tensor, window: int) -> Tensor:
     """Non-overlapping mean pooling; stride equals the window."""
     wh = ww = int(window)
-    view, ho, wo = _pool_view(x.data, wh, ww)
-    data = view.mean(axis=(3, 5))
-    src = x.data.shape
+    xd = x.data
+    src = xd.shape
+    bsz, c, h, w = src
+    if h % wh or w % ww:
+        raise ShapeMismatch(f"pool window {wh}x{ww} does not tile {h}x{w}")
+    ho, wo = h // wh, w // ww
+    data = np.zeros((bsz, c, ho, wo), xd.dtype)
+    for i in range(wh):
+        for j in range(ww):
+            data += xd[:, :, i::wh, j::ww]
+    data *= 1.0 / (wh * ww)
 
     def backward(g):
         g6 = np.broadcast_to(
             g[:, :, :, None, :, None] / (wh * ww),
-            (src[0], src[1], ho, wh, wo, ww),
+            (bsz, c, ho, wh, wo, ww),
         )
         return (g6.reshape(src),)
 
     return _out("avg_pool", (x,), data, backward)
-
-
-def max_pool(x: Tensor, window: int) -> Tensor:
-    """Non-overlapping max pooling; ties resolve to the first occurrence."""
-    wh = ww = int(window)
-    view, ho, wo = _pool_view(x.data, wh, ww)
-    b, c = x.data.shape[:2]
-    flat = view.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, ho, wo, wh * ww)
-    idx = flat.argmax(axis=-1)
-    data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    src = x.data.shape
-
-    def backward(g):
-        onehot = idx[..., None] == np.arange(wh * ww)
-        gflat = g[..., None] * onehot
-        g6 = gflat.reshape(b, c, ho, wo, wh, ww).transpose(0, 1, 2, 4, 3, 5)
-        return (g6.reshape(src),)
-
-    return _out("max_pool", (x,), data, backward)
-
-
-def global_avg_pool(x: Tensor, axes=(2, 3), keepdims: bool = False) -> Tensor:
-    """Mean over the named axes (default: spatial extent of a B x C x H x W map)."""
-    return reduce_mean(x, axis=tuple(axes), keepdims=keepdims)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

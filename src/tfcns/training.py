@@ -6,15 +6,11 @@ Determinism contract: every stochastic choice of iteration ``i`` (batch
 sampling, augmentation draws, dropout masks) derives from
 ``SeedSequence(seed, spawn_key=(i,))``, so a fixed seed reproduces the loss
 trajectory bit-for-bit and checkpoints only need the iteration counter to
-describe the generator state. Batch preparation may run ahead on worker
-threads (bounded by the TFCNS_THREADS environment variable) without
-affecting results.
+describe the generator state.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -167,13 +163,6 @@ class TrainLog:
     checkpoint_best: Optional[str] = None
 
 
-def _data_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TFCNS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _prepare_batch(dataset: Sequence[SegmentationPair], cfg: TrainConfig,
                    iteration: int, dtype) -> tuple:
     """Pure function of (dataset, config, iteration): the batch arrays plus the
@@ -224,18 +213,6 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
         out_dir.mkdir(parents=True, exist_ok=True)
         log_file = open(out_dir / "training.log", "a", encoding="utf-8")
 
-    threads = _data_threads()
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    pending = {}
-
-    def batch_for(it: int):
-        if executor is None:
-            return _prepare_batch(dataset, cfg, it, model.dtype)
-        for ahead in range(it, min(it + 2 * threads, total)):
-            if ahead not in pending:
-                pending[ahead] = executor.submit(_prepare_batch, dataset, cfg, ahead, model.dtype)
-        return pending.pop(it).result()
-
     def emit(line: str):
         if log_file is not None:
             log_file.write(line + "\n")
@@ -243,7 +220,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
 
     try:
         for it in range(total):
-            x, y, model_rng = batch_for(it)
+            x, y, model_rng = _prepare_batch(dataset, cfg, it, model.dtype)
             model.zero_grad()
             try:
                 with ad.Tape() as tape:
@@ -283,8 +260,6 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
                         save_checkpoint(model, state, best)
                         log.checkpoint_best = str(best)
     finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
         if log_file is not None:
             log_file.close()
 

@@ -85,3 +85,20 @@ def conv2d_direct(x: np.ndarray, w: np.ndarray, b, stride: int = 1, padding: int
     if b is not None:
         out += np.asarray(b, dtype=np.float64)[None, :, None, None]
     return out
+
+
+def conv_transpose2d_direct(x: np.ndarray, w: np.ndarray, b, stride: int) -> np.ndarray:
+    """Transposed convolution by explicit loops: every input pixel scatters its
+    C-vector times each kernel tap into the output at stride * position + tap."""
+    bsz, c, h, wd = x.shape
+    _, o, kh, kw = w.shape
+    out = np.zeros((bsz, o, (h - 1) * stride + kh, (wd - 1) * stride + kw), dtype=np.float64)
+    for r in range(h):
+        for s in range(wd):
+            for i in range(kh):
+                for j in range(kw):
+                    out[:, :, r * stride + i, s * stride + j] += (
+                        x[:, :, r, s].astype(np.float64) @ w[:, :, i, j].astype(np.float64))
+    if b is not None:
+        out += np.asarray(b, dtype=np.float64)[None, :, None, None]
+    return out

@@ -1,5 +1,6 @@
 """Model assembly: shape contracts, deterministic construction, parameter
-registry goldens, prediction, class activation maps, and checkpoint IO."""
+registry goldens, the dtype contract of a training step, prediction, class
+activation maps, and checkpoint IO."""
 
 import os
 import re
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tfcns.autodiff as ad
 from conftest import small_model_config, tiny_model_config
 from tfcns.errors import ClassOutOfRange, ConfigInvalid, FormatError, ShapeMismatch, VersionError
+from tfcns.metrics import combined_loss_parts
 from tfcns.model import (
     Checkpoint,
     ModelConfig,
@@ -190,6 +193,53 @@ class TestForward:
         out_none = none_model.forward(x).data
         out_clab = clab_model.forward(x).data
         assert not np.allclose(out_none, out_clab)
+
+
+class TestDtypeContract:
+    """Every op output and every gradient of a training step keeps the model's
+    dtype, so no constant can silently promote a float32 model to float64."""
+
+    @staticmethod
+    def _training_step_dtypes(monkeypatch, model, rng):
+        seen = []
+        real_out = ad._out
+
+        def recording_out(op, inputs, data, backward):
+            seen.append((op, "forward", data.dtype))
+
+            def recording_backward(g):
+                grads = backward(g)
+                seen.extend((op, "backward", gi.dtype) for gi in grads if gi is not None)
+                return grads
+
+            return real_out(op, inputs, data, recording_backward)
+
+        monkeypatch.setattr(ad, "_out", recording_out)
+        x = rng.standard_normal((2, 1, 16, 16)).astype(model.dtype)
+        y = rng.integers(0, model.cfg.num_classes, size=(2, 16, 16))
+        with ad.Tape() as tape:
+            for p in model.parameters():
+                tape.watch(p.tensor)
+            logits = model.forward(x, training=True, rng=np.random.default_rng(0))
+            loss, _, _ = combined_loss_parts(logits, y, model.cfg.num_classes)
+            ad.backward(loss)
+        seen.extend(("leaf", p.name, p.grad.dtype) for p in model.parameters())
+        assert any(op == "dropout" for op, _, _ in seen)
+        assert any(kind == "backward" for _, kind, _ in seen)
+        return seen
+
+    @pytest.mark.parametrize("skip,mlp", [("clab", "resmlp"), ("cuab_like", "plain_mlp")])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_step_keeps_model_dtype(self, skip, mlp, dtype, monkeypatch, rng):
+        model = build(small_model_config(skip_attention=skip, mlp_variant=mlp, dropout_p=0.2), dtype=dtype)
+        seen = self._training_step_dtypes(monkeypatch, model, rng)
+        promoted = sorted({(op, kind, str(dt)) for op, kind, dt in seen if dt != dtype})
+        assert not promoted, promoted
+
+    def test_float32_logits(self, rng):
+        model = build(tiny_model_config())
+        out = model.forward(rng.standard_normal((1, 1, 16, 16)).astype(np.float32))
+        assert out.dtype == np.float32
 
 
 class TestPredict:

@@ -190,14 +190,6 @@ class TestTrainLoop:
             runs.append([(r.loss, r.dice_loss, r.ce_loss) for r in log.records])
         assert runs[0] == runs[1]
 
-    def test_prefetch_threads_do_not_change_results(self, quick_dataset, monkeypatch):
-        model = build(small_model_config())
-        base = train(model, quick_dataset, quick_train_cfg())
-        monkeypatch.setenv("TFCNS_THREADS", "3")
-        model2 = build(small_model_config())
-        threaded = train(model2, quick_dataset, quick_train_cfg())
-        assert [r.loss for r in base.records] == [r.loss for r in threaded.records]
-
     def test_log_file_format(self, quick_dataset, tmp_path):
         model = build(small_model_config())
         log = train(model, quick_dataset, quick_train_cfg(max_iterations=4, eval_every=2),
