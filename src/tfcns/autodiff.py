@@ -119,12 +119,11 @@ class Tensor:
 class Parameter:
     """A named, trainable tensor. Names are assigned when a model registry is built."""
 
-    __slots__ = ("name", "tensor", "requires_grad", "no_decay")
+    __slots__ = ("name", "tensor", "no_decay")
 
-    def __init__(self, tensor: Tensor, requires_grad: bool = True, no_decay: bool = False):
+    def __init__(self, tensor: Tensor, no_decay: bool = False):
         self.name = ""
         self.tensor = tensor
-        self.requires_grad = requires_grad
         self.no_decay = no_decay
 
     @property

@@ -50,8 +50,6 @@ class DenseBlock(Module):
             feats = ad.concat([feats, new], axis=1)
         return feats
 
-    __call__ = forward
-
 
 class TransitionDown(Module):
     """1x1 conv + GELU + 2x2 average pooling; halves both spatial dims
@@ -64,8 +62,6 @@ class TransitionDown(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ad.avg_pool(ad.gelu(self.conv(x)), 2)
 
-    __call__ = forward
-
 
 class TransitionUp(Module):
     """Stride-2 2x2 transposed convolution; doubles both spatial dims."""
@@ -76,8 +72,6 @@ class TransitionUp(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.conv(x)
-
-    __call__ = forward
 
 
 class PatchEmbedding(Module):
@@ -113,8 +107,6 @@ class PatchEmbedding(Module):
         )
         seq = ad.concat([cls, tokens], axis=1)
         return ad.add(seq, ad.reshape(self.position_table.tensor, (1, self.n_tokens + 1, self.embed_dim)))
-
-    __call__ = forward
 
 
 def tokens_to_map(z: Tensor, hf: int, wf: int) -> Tensor:
@@ -171,8 +163,6 @@ class MHSABlock(Module):
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
         return ad.add(self.w_o(merged), z)
 
-    __call__ = forward
-
 
 class ResMLPBlock(Module):
     """Feed-forward block with three linear layers, two GELUs, three dropouts,
@@ -205,8 +195,6 @@ class ResMLPBlock(Module):
         out = self.drop(out, training, rng)
         return ad.add(out, z)
 
-    __call__ = forward
-
 
 class PlainMLPBlock(Module):
     """Conventional two-layer transformer MLP (ablation counterpart of
@@ -224,8 +212,6 @@ class PlainMLPBlock(Module):
         h = self.drop(ad.gelu(self.l1(self.norm(z))), training, rng)
         out = self.drop(self.l2(h), training, rng)
         return ad.add(out, z)
-
-    __call__ = forward
 
 
 class RLTransformerEncoder(Module):
@@ -255,13 +241,11 @@ class RLTransformerEncoder(Module):
             z = mlp(z, training, rng)
         return self.final_norm(z)
 
-    __call__ = forward
-
 
 class _BranchGate(Module):
     """Shared machinery of the skip-connection gates: N bias-free 1x1-conv branches of
-    K kernels each, reduced over channels to one map per branch, normalized per sample
-    over the spatial extent, and concatenated. A spatial path (1x1 conv over the
+    K kernels each, reduced over their kernels to one map per branch and normalized per
+    sample over the spatial extent. A spatial path (1x1 conv over the
     normalized maps) and a channel path (linear over the per-branch spatial means) feed
     the sigmoid gating; the latest gate is kept on ``last_gate`` (treat it as read-only).
 
@@ -287,19 +271,26 @@ class _BranchGate(Module):
         self.last_gate: Optional[np.ndarray] = None
 
     def _branch_features(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """(normalized branch maps B x N x H x W, per-branch means B x N)."""
-        b = x.shape[0]
-        maps, means = [], []
-        for conv in self.branches:
-            m = ad.reduce_mean(conv(x), axis=1, keepdims=True)
-            mu = ad.reduce_mean(m, axis=(2, 3), keepdims=True)
-            centered = ad.sub(m, mu)
-            var = ad.reduce_mean(ad.mul(centered, centered), axis=(2, 3), keepdims=True)
-            maps.append(ad.div(centered, ad.sqrt(ad.add(var, self.eps))))
-            means.append(ad.reshape(mu, (b, 1)))
-        return ad.concat(maps, axis=1), ad.concat(means, axis=1)
+        """(normalized branch maps B x N x H x W, per-branch means B x N).
 
-    def _channel_logits(self, branch_means: Tensor, b: int) -> Tensor:
+        A 1x1 conv followed by a mean over its K kernels is one linear map, so
+        all N branches run as one N-output 1x1 conv with kernel-averaged weights;
+        the ``branches`` modules only hold those weights.
+        """
+        b, c = x.shape[:2]
+        if c != self.in_channels:
+            raise ShapeMismatch(f"gate built for {self.in_channels} channels, got {c}")
+        n = self.n_branches
+        w = ad.concat([conv.weight.tensor for conv in self.branches], axis=0)
+        w = ad.reduce_mean(ad.reshape(w, (n, self.branch_kernels, c, 1, 1)), axis=1)
+        m = ad.conv2d(x, w)
+        mu = ad.reduce_mean(m, axis=(2, 3), keepdims=True)
+        centered = ad.sub(m, mu)
+        var = ad.reduce_mean(ad.mul(centered, centered), axis=(2, 3), keepdims=True)
+        return ad.div(centered, ad.sqrt(ad.add(var, self.eps))), ad.reshape(mu, (b, n))
+
+    def _channel_logits(self, branch_means: Tensor) -> Tensor:
+        b = branch_means.shape[0]
         return ad.reshape(self.gate_linear(branch_means), (b, self.in_channels, 1, 1))
 
 
@@ -311,17 +302,12 @@ class CLAB(_BranchGate):
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-        b, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ShapeMismatch(f"gate built for {self.in_channels} channels, got {c}")
         xm, means = self._branch_features(x)
         spatial = self.gate_conv(xm)
-        channel = self._channel_logits(means, b)
+        channel = self._channel_logits(means)
         gate = ad.sigmoid(ad.add(spatial, channel))
         self.last_gate = gate.data
         return ad.mul(x, gate)
-
-    __call__ = forward
 
 
 class CUABLike(_BranchGate):
@@ -331,15 +317,10 @@ class CUABLike(_BranchGate):
 
     def forward(self, x: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-        b, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ShapeMismatch(f"gate built for {self.in_channels} channels, got {c}")
         xm1, _ = self._branch_features(x)
         spatial_gate = ad.sigmoid(self.gate_conv(xm1))
         x1 = ad.mul(x, spatial_gate)
         _, means = self._branch_features(x1)
-        channel_gate = ad.sigmoid(self._channel_logits(means, b))
+        channel_gate = ad.sigmoid(self._channel_logits(means))
         self.last_gate = spatial_gate.data * channel_gate.data
         return ad.mul(x1, channel_gate)
-
-    __call__ = forward

@@ -269,8 +269,6 @@ class TFCNsModel(Module):
             return logits, features
         return logits
 
-    __call__ = forward
-
 
 def build(cfg: ModelConfig, rng: Optional[np.random.Generator] = None, dtype=np.float32) -> TFCNsModel:
     """Deterministically initialized model; given the same seed (or generator
@@ -281,11 +279,11 @@ def build(cfg: ModelConfig, rng: Optional[np.random.Generator] = None, dtype=np.
 
 
 def predict(model: TFCNsModel, x) -> np.ndarray:
-    """Per-pixel argmax over softmax class probabilities -> B x H x W class
-    indices. Ties resolve to the lowest class index."""
+    """Per-pixel argmax over the class logits -> B x H x W class indices (the
+    softmax is monotone, so this is the most probable class). Ties resolve to
+    the lowest class index."""
     logits = model.forward(x, training=False)
-    probs = ad.softmax(logits, axis=1)
-    return np.argmax(probs.data, axis=1).astype(np.int32)
+    return np.argmax(logits.data, axis=1).astype(np.int32)
 
 
 def class_activation_map(model: TFCNsModel, x, target_class: int) -> np.ndarray:

@@ -19,7 +19,10 @@ from .autodiff import Parameter, Tensor
 
 class Module:
     """Base class: walks its attributes (in definition order) to enumerate
-    parameters and submodules."""
+    parameters and submodules. Calling a module runs its ``forward``."""
+
+    def __call__(self, *args, **kwargs):
+        return self.forward(*args, **kwargs)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
         for name, value in vars(self).items():
@@ -78,8 +81,6 @@ class Linear(Module):
         y = ad.matmul(x, self.weight.tensor)
         return y if self.bias is None else ad.add(y, self.bias.tensor)
 
-    __call__ = forward
-
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -101,8 +102,6 @@ class Conv2d(Module):
                          None if self.bias is None else self.bias.tensor,
                          self.stride, self.padding)
 
-    __call__ = forward
-
 
 class ConvTranspose2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -117,8 +116,6 @@ class ConvTranspose2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv_transpose2d(x, self.weight.tensor, self.bias.tensor, self.stride)
 
-    __call__ = forward
-
 
 class LayerNorm(Module):
     def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-6):
@@ -129,8 +126,6 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma.tensor, self.beta.tensor, self.eps)
 
-    __call__ = forward
-
 
 class Dropout(Module):
     def __init__(self, p: float):
@@ -138,5 +133,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor, training: bool, rng: Optional[np.random.Generator]) -> Tensor:
         return ad.dropout(x, self.p, training, rng)
-
-    __call__ = forward

@@ -61,7 +61,7 @@ class OptimizerState:
     def for_model(cls, model: TFCNsModel) -> "OptimizerState":
         return cls(momentum={
             name: np.zeros_like(p.tensor.data)
-            for name, p in model.named_parameters() if p.requires_grad
+            for name, p in model.named_parameters()
         })
 
 
@@ -81,8 +81,6 @@ def sgd_step(params: Sequence[Parameter], state: OptimizerState, cfg: TrainConfi
     """
     lr = lr_at(state.iteration, cfg)
     for p in params:
-        if not p.requires_grad:
-            continue
         g = p.tensor.grad
         if g is None:
             g = np.zeros_like(p.tensor.data)

@@ -102,3 +102,17 @@ def conv_transpose2d_direct(x: np.ndarray, w: np.ndarray, b, stride: int) -> np.
     if b is not None:
         out += np.asarray(b, dtype=np.float64)[None, :, None, None]
     return out
+
+
+def branch_features_direct(x: np.ndarray, branch_weights, eps: float):
+    """Skip-gate branch features by one loop per branch: run each bias-free 1x1
+    conv, take the mean over its K kernels, then centre and scale that map per
+    sample over the spatial extent -> (maps B x N x H x W, means B x N)."""
+    maps, means = [], []
+    for w in branch_weights:
+        m = conv2d_direct(x, w, None).mean(axis=1)
+        mu = m.mean(axis=(1, 2), keepdims=True)
+        var = ((m - mu) ** 2).mean(axis=(1, 2), keepdims=True)
+        maps.append((m - mu) / np.sqrt(var + eps))
+        means.append(mu[:, 0, 0])
+    return np.stack(maps, axis=1), np.stack(means, axis=1)

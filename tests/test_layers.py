@@ -7,8 +7,10 @@ import pytest
 
 import tfcns.autodiff as ad
 import tfcns.layers as L
-from tfcns.autodiff import Tensor, grad_check_tensors
+from tfcns.autodiff import Tape, Tensor, grad_check_tensors
 from tfcns.errors import ConfigInvalid, ShapeMismatch
+
+from oracles import branch_features_direct
 
 F64 = np.float64
 
@@ -286,6 +288,31 @@ class TestCLAB:
         assert np.all(gate.last_gate > 0.0) and np.all(gate.last_gate < 1.0)
         nz = x.data != 0
         assert np.all(np.abs(out.data[nz]) < np.abs(x.data[nz]))
+
+    @pytest.mark.parametrize("c,n,k,h,w", [(2, 1, 1, 4, 4), (4, 2, 3, 6, 6), (5, 4, 2, 3, 7)])
+    def test_branch_features_match_per_branch_loop(self, c, n, k, h, w, rng):
+        gate = L.CLAB(c, n, k, np.random.default_rng(0), dtype=F64)
+        x = t64(rng.standard_normal((2, c, h, w)))
+        maps, means = gate._branch_features(x)
+        ref_maps, ref_means = branch_features_direct(
+            x.data, [conv.weight.data for conv in gate.branches], gate.eps)
+        assert maps.shape == (2, n, h, w) and means.shape == (2, n)
+        np.testing.assert_allclose(maps.data, ref_maps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(means.data, ref_means, rtol=0, atol=1e-12)
+
+    def test_branch_features_run_one_conv(self, rng):
+        gate = L.CLAB(5, 4, 2, np.random.default_rng(0), dtype=F64)
+        x = t64(rng.standard_normal((1, 5, 3, 3)))
+        with Tape() as tape:
+            tape.watch(x)
+            gate._branch_features(x)
+        assert [node.op for node in tape.nodes].count("conv2d") == 1
+
+    @pytest.mark.parametrize("cls", [L.CLAB, L.CUABLike])
+    def test_gates_reject_wrong_channel_count(self, cls, rng):
+        gate = cls(4, 2, 3, np.random.default_rng(0), dtype=F64)
+        with pytest.raises(ShapeMismatch, match="gate built for 4 channels, got 3"):
+            gate(t64(rng.standard_normal((1, 3, 4, 4))))
 
     def test_param_count_golden(self):
         gate = L.CLAB(4, 2, 3, np.random.default_rng(0))
