@@ -692,29 +692,13 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
 
     ``f`` must be pure and deterministic; it is evaluated 2*size(x) + 1 times.
     """
-    with Tape() as tape:
-        tape.watch(x)
-        out = f(x)
-        if out.data.size != 1:
-            raise NotScalar("grad_check target function must return a scalar")
-        backward(out)
-        analytic = x.grad.astype(np.float64)
-    base = x.data
-    numeric = np.zeros(base.shape, dtype=np.float64)
-    flat_num = numeric.reshape(-1)
-    for i in range(base.size):
-        probe = base.copy().reshape(-1)
-        probe[i] += eps
-        fp = float(f(Tensor(probe.reshape(base.shape), dtype=base.dtype)).data.reshape(-1)[0])
-        probe[i] = base.reshape(-1)[i] - eps
-        fm = float(f(Tensor(probe.reshape(base.shape), dtype=base.dtype)).data.reshape(-1)[0])
-        flat_num[i] = (fp - fm) / (2.0 * eps)
-    return _max_rel_err(analytic, numeric)
+    return grad_check_tensors(lambda: f(x), [x], eps)
 
 
 def grad_check_tensors(loss_fn: Callable[[], Tensor], tensors: Sequence[Tensor], eps: float = 1e-5) -> float:
     """Like grad_check but for a closure over several tensors (e.g. a block's
-    input plus its parameters). Perturbs each tensor in place and restores it."""
+    input plus its parameters). Perturbs each tensor in place and restores it,
+    also when ``loss_fn`` raises."""
     with Tape() as tape:
         for t in tensors:
             tape.watch(t)
@@ -729,11 +713,13 @@ def grad_check_tensors(loss_fn: Callable[[], Tensor], tensors: Sequence[Tensor],
         numeric = np.zeros(flat.size, dtype=np.float64)
         for i in range(flat.size):
             old = flat[i]
-            flat[i] = old + eps
-            fp = float(loss_fn().data.reshape(-1)[0])
-            flat[i] = old - eps
-            fm = float(loss_fn().data.reshape(-1)[0])
-            flat[i] = old
+            try:
+                flat[i] = old + eps
+                fp = float(loss_fn().data.reshape(-1)[0])
+                flat[i] = old - eps
+                fm = float(loss_fn().data.reshape(-1)[0])
+            finally:
+                flat[i] = old
             numeric[i] = (fp - fm) / (2.0 * eps)
         worst = max(worst, _max_rel_err(ana.reshape(-1), numeric))
     return worst

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .data import load_dataset, read_tensor, write_cam_overlay, write_heatmap, write_mask_image, write_tensor
+from .data import (config_kinds, format_config_text, load_dataset, parse_config_value, read_config_lines,
+                   read_image, write_cam_overlay, write_heatmap, write_mask_image, write_tensor)
 from .errors import (
     ClassOutOfRange,
     ConfigInvalid,
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .model import (
     ModelConfig,
+    TFCNsModel,
     build,
     class_activation_map,
     model_from_checkpoint,
@@ -37,124 +38,78 @@ from .model import (
 )
 from .training import TrainConfig, ablation_grid, evaluate, run_ablation, train
 
-_MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+_MODEL_KINDS = config_kinds(ModelConfig)
+_TRAIN_KINDS = config_kinds(TrainConfig)
+_PATH_KEYS = ("dataset_dir", "output_dir", "checkpoint")
+# key -> kind; order defines the echoed config layout
+_KINDS = {**_MODEL_KINDS, **_TRAIN_KINDS, **dict.fromkeys(_PATH_KEYS, "path")}
 
-# key -> (kind, help); order defines the echoed config layout
-SCHEMA = [
-    ("in_channels", "int", "image channels"),
-    ("num_classes", "int", "segmentation classes including background"),
-    ("input_size", "int", "square input side; must be divisible by patch_size"),
-    ("first_conv_channels", "int", "stem conv output channels"),
-    ("growth_rate", "int", "channels added per dense-block layer"),
-    ("layers_per_block", "intlist", "per-stage dense layer counts, or 'auto'"),
-    ("patch_size", "int", "transformer patch size (8/16/32); sets encoder depth"),
-    ("embed_dim", "int", "token embedding width"),
-    ("transformer_layers", "int", "attention/feed-forward layer pairs"),
-    ("n_heads", "int", "attention heads"),
-    ("resmlp_hidden", "optint", "feed-forward hidden width, or 'auto'"),
-    ("dropout_p", "float", "dropout probability in blocks"),
-    ("skip_attention", "str", "skip gate: none | clab | cuab_like"),
-    ("mlp_variant", "str", "feed-forward variant: resmlp | plain_mlp"),
-    ("clab_branches", "int", "gate branch count"),
-    ("clab_kernels", "optint", "kernels per gate branch, or 'auto'"),
-    ("seed", "int", "seed for init, batching, augmentation, dropout"),
-    ("lr", "float", "base learning rate"),
-    ("momentum", "float", "SGD momentum"),
-    ("weight_decay", "float", "coupled L2 weight decay"),
-    ("batch_size", "int", "training batch size"),
-    ("epochs", "int", "epochs when max_iterations is 'auto'"),
-    ("lr_decay_at", "int", "iteration at which the step decay fires"),
-    ("lr_decay_factor", "float", "multiplier applied at lr_decay_at"),
-    ("augment_rotate", "bool", "enable random 90-degree rotations"),
-    ("augment_flip", "bool", "enable random flips"),
-    ("eval_every", "int", "iterations between evaluations (0 disables)"),
-    ("max_iterations", "optint", "iteration cap, or 'auto' for epoch-based"),
-    ("dataset_dir", "path", "directory of <id>.img.tnsr / <id>.msk.tnsr pairs"),
-    ("output_dir", "path", "directory for logs, checkpoints, images, tables"),
-    ("checkpoint", "path", "checkpoint file for eval/predict/cam"),
-]
-_KINDS = dict((k, kind) for k, kind, _ in SCHEMA)
-
-
-def _parse_value(key: str, kind: str, text: str):
-    text = text.strip()
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "bool":
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-        if kind == "optint":
-            return None if text == "auto" else int(text)
-        if kind == "intlist":
-            return None if text == "auto" else tuple(int(v) for v in text.split(","))
-        return text  # str, path
-    except ValueError as exc:
-        raise ConfigInvalid(f"config key {key!r}: cannot parse {text!r} as {kind}") from exc
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value)
-    return str(value)
+_HELP = {
+    "in_channels": "image channels",
+    "num_classes": "segmentation classes including background",
+    "input_size": "square input side; must be divisible by patch_size",
+    "first_conv_channels": "stem conv output channels",
+    "growth_rate": "channels added per dense-block layer",
+    "layers_per_block": "per-stage dense layer counts, or 'auto'",
+    "patch_size": "transformer patch size (8/16/32); sets encoder depth",
+    "embed_dim": "token embedding width",
+    "transformer_layers": "attention/feed-forward layer pairs",
+    "n_heads": "attention heads",
+    "resmlp_hidden": "feed-forward hidden width, or 'auto'",
+    "dropout_p": "dropout probability in blocks",
+    "skip_attention": "skip gate: none | clab | cuab_like",
+    "mlp_variant": "feed-forward variant: resmlp | plain_mlp",
+    "clab_branches": "gate branch count",
+    "clab_kernels": "kernels per gate branch, or 'auto'",
+    "seed": "seed for init, batching, augmentation, dropout",
+    "lr": "base learning rate",
+    "momentum": "SGD momentum",
+    "weight_decay": "coupled L2 weight decay",
+    "batch_size": "training batch size",
+    "epochs": "epochs when max_iterations is 'auto'",
+    "lr_decay_at": "iteration at which the step decay fires",
+    "lr_decay_factor": "multiplier applied at lr_decay_at",
+    "augment_rotate": "enable random 90-degree rotations",
+    "augment_flip": "enable random flips",
+    "eval_every": "iterations between evaluations (0 disables)",
+    "max_iterations": "iteration cap, or 'auto' for epoch-based",
+    "dataset_dir": "directory of <id>.img.tnsr / <id>.msk.tnsr pairs",
+    "output_dir": "directory for logs, checkpoints, images, tables",
+    "checkpoint": "checkpoint file for eval/predict/cam",
+}
+# (key, kind, help) for every config key
+SCHEMA = [(key, kind, _HELP[key]) for key, kind in _KINDS.items()]
 
 
 class RunConfig:
     """Merged model/training/path configuration."""
 
     def __init__(self):
-        model_defaults = ModelConfig()
-        train_defaults = TrainConfig()
-        self.values = {}
-        for key, _, _ in SCHEMA:
-            if key in _MODEL_FIELDS:
-                self.values[key] = getattr(model_defaults, key)
-            elif key in _TRAIN_FIELDS:
-                self.values[key] = getattr(train_defaults, key)
-            else:
-                self.values[key] = None
+        self.values = {**vars(ModelConfig()), **vars(TrainConfig()), **dict.fromkeys(_PATH_KEYS)}
 
     def set(self, key: str, raw: str) -> None:
         if key not in _KINDS:
             raise ConfigInvalid(f"unknown config key {key!r}")
-        self.values[key] = _parse_value(key, _KINDS[key], raw)
+        self.values[key] = parse_config_value(key, _KINDS[key], raw)
 
     def load_file(self, path) -> None:
         path = Path(path)
         if not path.is_file():
             raise ConfigInvalid(f"config file not found: {path}")
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigInvalid(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
+        for key, value in read_config_lines(path.read_text(encoding="utf-8"), path):
             self.set(key, value)
 
     def model_config(self) -> ModelConfig:
-        kwargs = {k: v for k, v in self.values.items() if k in _MODEL_FIELDS}
-        return ModelConfig(**kwargs)
+        return ModelConfig(**{k: self.values[k] for k in _MODEL_KINDS})
 
     def train_config(self) -> TrainConfig:
-        kwargs = {k: v for k, v in self.values.items() if k in _TRAIN_FIELDS}
-        return TrainConfig(**kwargs)
+        return TrainConfig(**{k: self.values[k] for k in _TRAIN_KINDS})
 
     def path(self, key: str) -> Optional[str]:
         return self.values[key]
 
     def to_text(self) -> str:
-        return "".join(f"{key} = {_format_value(self.values[key])}\n" for key, _, _ in SCHEMA)
+        return format_config_text((key, self.values[key]) for key in _KINDS)
 
 
 def _schema_epilog() -> str:
@@ -201,10 +156,16 @@ def _load_pairs(rc: RunConfig):
     return load_dataset(dataset_dir)
 
 
+def _load_model(rc: RunConfig) -> TFCNsModel:
+    ckpt_path = rc.path("checkpoint")
+    if not ckpt_path or not Path(ckpt_path).is_file():
+        raise ConfigInvalid(f"checkpoint not found: {ckpt_path}")
+    model, _ = model_from_checkpoint(ckpt_path)
+    return model
+
+
 def _load_image(path, cfg) -> np.ndarray:
-    image = read_tensor(path).astype(np.float32)
-    if image.ndim == 2:
-        image = image[None]
+    image = read_image(path)
     if image.shape != (cfg.in_channels, cfg.input_size, cfg.input_size):
         raise ShapeMismatch(
             f"image shape {tuple(image.shape)} does not match checkpoint input "
@@ -225,13 +186,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     rc = _load_run_config(args)
-    ckpt_path = rc.path("checkpoint")
-    if not ckpt_path or not Path(ckpt_path).is_file():
-        raise ConfigInvalid(f"checkpoint not found: {ckpt_path}")
+    model = _load_model(rc)
     pairs = _load_pairs(rc)
     if not pairs:
         raise DatasetError(f"dataset directory is empty: {rc.path('dataset_dir')}")
-    model, _ = model_from_checkpoint(ckpt_path)
     report = evaluate(model, pairs)
     table = report.to_tsv()
     sys.stdout.write(table)
@@ -243,11 +201,8 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     rc = _load_run_config(args)
-    ckpt_path = rc.path("checkpoint")
-    if not ckpt_path or not Path(ckpt_path).is_file():
-        raise ConfigInvalid(f"checkpoint not found: {ckpt_path}")
+    model = _load_model(rc)
     out = _require_out_dir(rc)
-    model, _ = model_from_checkpoint(ckpt_path)
     image = _load_image(args.image, model.cfg)
     mask = predict(model, image[None])[0]
     write_tensor(out / "mask.tnsr", mask.astype(np.int32))
@@ -257,11 +212,8 @@ def cmd_predict(args) -> int:
 
 def cmd_cam(args) -> int:
     rc = _load_run_config(args)
-    ckpt_path = rc.path("checkpoint")
-    if not ckpt_path or not Path(ckpt_path).is_file():
-        raise ConfigInvalid(f"checkpoint not found: {ckpt_path}")
+    model = _load_model(rc)
     out = _require_out_dir(rc)
-    model, _ = model_from_checkpoint(ckpt_path)
     image = _load_image(args.image, model.cfg)
     heat = class_activation_map(model, image[None], args.target_class)[0]
     write_heatmap(out / "heatmap.ppm", heat)

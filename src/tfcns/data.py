@@ -1,15 +1,22 @@
-"""Bit-exact tensor file container, PPM image output, the synthetic shape
-dataset used for desk-scale training, and dataset directory loading.
+"""The package's file formats: the bit-exact TNSR tensor container and the
+array record inside it, flat ``key = value`` config text, PPM image output,
+plus the synthetic shape dataset used for desk-scale training and dataset
+directory loading.
 
-TNSR container layout (all integers little-endian):
+Array record (all integers little-endian), shared by TNSR files and
+checkpoints:
 
-    magic   4 bytes  b"TNSR"
-    version u16      currently 1
     dtype   u8       0=float32  1=float64  2=uint8  3=int32
     rank    u8
     dims    u32 * rank
     payload raw element bytes, row-major, little-endian
-    crc     u32      CRC32 of the payload bytes
+
+TNSR container: magic ``b"TNSR"``, u16 version (currently 1), one array
+record, then the u32 CRC32 of the record's payload bytes.
+
+Config text: one ``key = value`` per line, ``#`` starts a comment. A value
+is parsed by its key's kind; ``config_kinds`` reads the kinds of a config
+dataclass from its field annotations.
 
 Dataset directory convention: one ``<case_id>.img.tnsr`` (C x H x W float
 image in [0,1]) plus one ``<case_id>.msk.tnsr`` (H x W integer mask) per
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,7 +43,7 @@ from .errors import ConfigInvalid, DatasetError, FormatError, VersionError
 TNSR_MAGIC = b"TNSR"
 TNSR_VERSION = 1
 
-# tag -> (numpy dtype, little-endian struct dtype)
+# tag -> little-endian numpy dtype
 DTYPE_TAGS = {
     0: np.dtype("<f4"),
     1: np.dtype("<f8"),
@@ -53,17 +60,38 @@ def _tag_for(arr: np.ndarray) -> int:
     return _TAG_FOR_KIND[key]
 
 
+def pack_array(arr: np.ndarray) -> tuple[bytes, bytes]:
+    """The array record of ``arr`` as (header, payload) bytes."""
+    tag = _tag_for(arr)
+    head = struct.pack(f"<BB{arr.ndim}I", tag, arr.ndim, *arr.shape)
+    return head, arr.astype(DTYPE_TAGS[tag], copy=False).tobytes()
+
+
+def unpack_array(blob: bytes, offset: int, source) -> tuple[np.ndarray, int]:
+    """The array record at ``offset`` of ``blob`` and the offset just past it.
+    Raises FormatError, naming ``source``, on an unknown dtype tag or a
+    record that runs past the end of ``blob``."""
+    try:
+        tag, rank = struct.unpack_from("<BB", blob, offset)
+        dims = struct.unpack_from(f"<{rank}I", blob, offset + 2)
+    except struct.error as exc:
+        raise FormatError(f"{source}: truncated header") from exc
+    if tag not in DTYPE_TAGS:
+        raise FormatError(f"{source}: unknown dtype tag {tag}")
+    offset += 2 + 4 * rank
+    dtype = DTYPE_TAGS[tag]
+    n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+    if offset + n_bytes > len(blob):
+        raise FormatError(f"{source}: truncated payload")
+    arr = np.frombuffer(memoryview(blob)[offset:offset + n_bytes], dtype=dtype).reshape(dims).copy()
+    return arr, offset + n_bytes
+
+
 def write_tensor(path, array: np.ndarray) -> None:
     """Write an array to the TNSR container; exact round trip guaranteed."""
-    arr = np.asarray(array)
-    if not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)
-    tag = _tag_for(arr)
-    payload = arr.astype(DTYPE_TAGS[tag], copy=False).tobytes()
-    head = TNSR_MAGIC + struct.pack("<HBB", TNSR_VERSION, tag, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
+    head, payload = pack_array(np.asarray(array))
     with open(path, "wb") as f:
-        f.write(head)
+        f.write(TNSR_MAGIC + struct.pack("<H", TNSR_VERSION) + head)
         f.write(payload)
         f.write(struct.pack("<I", zlib.crc32(payload)))
 
@@ -74,25 +102,97 @@ def read_tensor(path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if len(blob) < 8 or blob[:4] != TNSR_MAGIC:
         raise FormatError(f"{path}: not a TNSR file")
-    version, tag, rank = struct.unpack_from("<HBB", blob, 4)
+    (version,) = struct.unpack_from("<H", blob, 4)
     if version != TNSR_VERSION:
         raise VersionError(version, TNSR_VERSION)
-    if tag not in DTYPE_TAGS:
-        raise FormatError(f"{path}: unknown dtype tag {tag}")
-    offset = 8
-    if len(blob) < offset + 4 * rank:
-        raise FormatError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
-    offset += 4 * rank
-    dtype = DTYPE_TAGS[tag]
-    n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-    if len(blob) != offset + n_bytes + 4:
+    arr, end = unpack_array(blob, 6, path)
+    if len(blob) != end + 4:
         raise FormatError(f"{path}: payload length mismatch")
-    payload = blob[offset:offset + n_bytes]
-    (crc,) = struct.unpack_from("<I", blob, offset + n_bytes)
-    if crc != zlib.crc32(payload):
+    (crc,) = struct.unpack_from("<I", blob, end)
+    if crc != zlib.crc32(memoryview(blob)[end - arr.nbytes:end]):
         raise FormatError(f"{path}: CRC mismatch")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    return arr
+
+
+def read_image(path) -> np.ndarray:
+    """A C x H x W float32 image from a TNSR file; a 2-D file is one channel."""
+    image = read_tensor(path).astype(np.float32)
+    return image[None] if image.ndim == 2 else image
+
+
+# ---------------------------------------------------------------------------
+# flat "key = value" config text
+# ---------------------------------------------------------------------------
+
+# field annotation -> value kind
+_KIND_OF_ANNOTATION = {
+    "int": "int",
+    "float": "float",
+    "bool": "bool",
+    "str": "str",
+    "Optional[int]": "optint",
+    "Optional[tuple]": "intlist",
+}
+
+
+def config_kinds(cls) -> dict:
+    """Field name -> value kind of a config dataclass, in field order."""
+    return {f.name: _KIND_OF_ANNOTATION[f.type] for f in fields(cls)}
+
+
+def parse_config_value(key: str, kind: str, text: str):
+    """The value of ``text`` as ``kind``; 'auto' is None for the optional
+    kinds. Raises ConfigInvalid naming the key."""
+    text = text.strip()
+    try:
+        if kind == "int":
+            return int(text)
+        if kind == "float":
+            return float(text)
+        if kind == "bool":
+            if text.lower() in ("true", "1", "yes"):
+                return True
+            if text.lower() in ("false", "0", "no"):
+                return False
+            raise ValueError(text)
+        if kind == "optint":
+            return None if text == "auto" else int(text)
+        if kind == "intlist":
+            return None if text == "auto" else tuple(int(v) for v in text.split(","))
+        return text  # str, path
+    except ValueError as exc:
+        raise ConfigInvalid(f"config key {key!r}: cannot parse {text!r} as {kind}") from exc
+
+
+def format_config_value(value) -> str:
+    """Inverse of parse_config_value."""
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def format_config_text(items) -> str:
+    """Config text with one line per (key, value) item."""
+    return "".join(f"{key} = {format_config_value(value)}\n" for key, value in items)
+
+
+def read_config_lines(text: str, source) -> list[tuple[str, str]]:
+    """The (key, unparsed value) pairs of config text, in order. Raises
+    ConfigInvalid, naming ``source`` and the line, on a line without '='."""
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigInvalid(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        pairs.append((key, value))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +311,7 @@ class SyntheticSpec:
 _FAMILIES = ("disk", "rect", "ring")
 
 
-def _rasterize(family: str, cy: int, cx: int, r: int, rng: np.random.Generator,
+def _rasterize(family: str, cy: int, cx: int, r: int,
                yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
     d2 = (yy - cy) ** 2 + (xx - cx) ** 2
     if family == "disk":
@@ -250,7 +350,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[SegmentationPair]:
             cy = oy + r + int(rng.integers(0, cell_h - 2 * r))
             cx = ox + r + int(rng.integers(0, cell_w - 2 * r))
             family = _FAMILIES[(c - 1) % len(_FAMILIES)]
-            mask[_rasterize(family, cy, cx, r, rng, yy, xx)] = c
+            mask[_rasterize(family, cy, cx, r, yy, xx)] = c
         levels = np.array([class_intensity(c, spec.num_classes) for c in range(spec.num_classes)])
         image = levels[mask]
         if spec.noise_sigma > 0:
@@ -284,9 +384,7 @@ def load_dataset(directory) -> list[SegmentationPair]:
             raise DatasetError(f"orphan mask file without image: {path.name}")
     pairs = []
     for stem in sorted(images):
-        image = read_tensor(images[stem]).astype(np.float32)
-        if image.ndim == 2:
-            image = image[None, :, :]
+        image = read_image(images[stem])
         mask = read_tensor(masks[stem]).astype(np.int32)
         pairs.append(SegmentationPair(image=image, mask=mask, case_id=stem))
     return pairs
@@ -299,18 +397,3 @@ def split(pairs: Sequence[SegmentationPair], train_fraction: float,
     n_train = int(round(train_fraction * len(pairs)))
     return [pairs[i] for i in order[:n_train]], [pairs[i] for i in order[n_train:]]
 
-
-def convert_ct_volume(src, dst_dir, *, window=None, slice_axis=0, normalize="window"):
-    """Converter stub for external CT datasets.
-
-    Users holding the original scan archives should export each 2-D slice as
-    ``<case>_<slice>.img.tnsr`` (float32, 1 x H x W, intensities mapped to
-    [0,1]) and ``<case>_<slice>.msk.tnsr`` (int32, H x W, organ labels from 0).
-    Windowing bounds (HU), the slice axis, and the normalization mode are
-    deliberately parameters: the upstream preprocessing is dataset metadata
-    this package does not ship.
-    """
-    raise NotImplementedError(
-        "DICOM/NIfTI ingestion is out of scope; export TNSR pairs as described "
-        "in convert_ct_volume's docstring"
-    )

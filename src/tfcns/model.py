@@ -15,8 +15,7 @@ Checkpoint container layout (little-endian):
     payload:
         u32 + UTF-8 flat "key = value" config text (model config, iteration)
         u32 record count
-        records: u16 + name UTF-8, u8 dtype tag (TNSR tags), u8 rank,
-                 u32 * rank dims, raw element bytes
+        records: u16 + name UTF-8, then an array record (see ``data``)
     crc     u32      CRC32 of the payload bytes
 """
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import DTYPE_TAGS, _tag_for
+from .data import config_kinds, format_config_text, pack_array, parse_config_value, read_config_lines, unpack_array
 from .errors import ClassOutOfRange, ConfigInvalid, FormatError, ShapeMismatch, VersionError
 from .layers import (
     CLAB,
@@ -94,11 +93,16 @@ class ModelConfig:
         return self.resmlp_hidden if self.resmlp_hidden is not None else 4 * self.embed_dim
 
     def validate(self) -> None:
+        for name in ("in_channels", "num_classes", "first_conv_channels", "growth_rate",
+                     "embed_dim", "n_heads", "resmlp_hidden", "clab_branches", "clab_kernels"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigInvalid(f"{name} must be positive")
         p = self.patch_size
         if p < 4 or (p & (p - 1)) != 0:
             raise ConfigInvalid(f"patch_size {p} must be a power of two >= 4")
-        if self.input_size % p:
-            raise ConfigInvalid(f"input_size {self.input_size} not divisible by patch_size {p}")
+        if self.input_size < p or self.input_size % p:
+            raise ConfigInvalid(f"input_size {self.input_size} not a positive multiple of patch_size {p}")
         if self.embed_dim % self.n_heads:
             raise ConfigInvalid(f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")
         if len(self.stage_layers()) != self.n_stages:
@@ -106,58 +110,30 @@ class ModelConfig:
                 f"layers_per_block has {len(self.stage_layers())} entries, "
                 f"patch_size {p} needs {self.n_stages}"
             )
+        if min(self.stage_layers()) < 0:
+            raise ConfigInvalid(f"layers_per_block {self.stage_layers()} has a negative entry")
         if self.skip_attention not in SKIP_ATTENTION_CHOICES:
             raise ConfigInvalid(f"skip_attention {self.skip_attention!r} not in {SKIP_ATTENTION_CHOICES}")
         if self.mlp_variant not in MLP_VARIANT_CHOICES:
             raise ConfigInvalid(f"mlp_variant {self.mlp_variant!r} not in {MLP_VARIANT_CHOICES}")
-        for name in ("in_channels", "num_classes", "first_conv_channels", "growth_rate",
-                     "embed_dim", "n_heads", "clab_branches"):
-            if getattr(self, name) < 1:
-                raise ConfigInvalid(f"{name} must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigInvalid(f"dropout_p {self.dropout_p} outside [0, 1)")
 
 
-def _cfg_value_to_str(value) -> str:
-    if value is None:
-        return "auto"
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
-def _cfg_value_from_str(name: str, text: str):
-    text = text.strip()
-    if name in ("layers_per_block",):
-        return None if text == "auto" else tuple(int(v) for v in text.split(","))
-    if name in ("resmlp_hidden", "clab_kernels"):
-        return None if text == "auto" else int(text)
-    if name in ("skip_attention", "mlp_variant"):
-        return text
-    if name == "dropout_p":
-        return float(text)
-    return int(text)
+_MODEL_KINDS = config_kinds(ModelConfig)
 
 
 def model_config_to_text(cfg: ModelConfig, extra: Optional[dict] = None) -> str:
-    lines = [f"{f.name} = {_cfg_value_to_str(getattr(cfg, f.name))}" for f in fields(ModelConfig)]
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    items = [(name, getattr(cfg, name)) for name in _MODEL_KINDS]
+    return format_config_text(items + list((extra or {}).items()))
 
 
 def model_config_from_text(text: str) -> tuple[ModelConfig, dict]:
-    known = {f.name for f in fields(ModelConfig)}
+    """The model config in config text, plus its other keys unparsed."""
     values, extra = {}, {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"malformed config line: {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in known:
-            values[key] = _cfg_value_from_str(key, val)
+    for key, val in read_config_lines(text, "config text"):
+        if key in _MODEL_KINDS:
+            values[key] = parse_config_value(key, _MODEL_KINDS[key], val)
         else:
             extra[key] = val
     return ModelConfig(**values), extra
@@ -320,14 +296,6 @@ class Checkpoint:
 _MOMENTUM_PREFIX = "optimizer.momentum/"
 
 
-def _pack_record(name: str, arr: np.ndarray) -> bytes:
-    tag = _tag_for(arr)
-    name_b = name.encode("utf-8")
-    head = struct.pack("<H", len(name_b)) + name_b + struct.pack("<BB", tag, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-    return head + arr.astype(DTYPE_TAGS[tag], copy=False).tobytes()
-
-
 def save_checkpoint(model: TFCNsModel, optimizer_state, path) -> None:
     """Write model parameters (and, when given, optimizer momentum buffers and
     the iteration counter) to the TFCN container. Byte-identical for identical
@@ -342,9 +310,8 @@ def save_checkpoint(model: TFCNsModel, optimizer_state, path) -> None:
         ]
     chunks.append(struct.pack("<I", len(records)))
     for name, arr in records:
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        chunks.append(_pack_record(name, arr))
+        name_b = name.encode("utf-8")
+        chunks += [struct.pack("<H", len(name_b)), name_b, *pack_array(arr)]
     payload = b"".join(chunks)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
@@ -363,44 +330,25 @@ def load_checkpoint(path) -> Checkpoint:
     (crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if crc != zlib.crc32(payload):
         raise FormatError(f"{path}: CRC mismatch")
-
-    offset = 0
-
-    def take(fmt: str):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(payload):
-            raise FormatError(f"{path}: truncated payload")
-        vals = struct.unpack_from(fmt, payload, offset)
-        offset += size
-        return vals
-
-    (text_len,) = take("<I")
-    if offset + text_len > len(payload):
-        raise FormatError(f"{path}: truncated config text")
-    text = payload[offset:offset + text_len].decode("utf-8")
-    offset += text_len
-    cfg, extra = model_config_from_text(text)
-    (n_records,) = take("<I")
     params, momentum = {}, {}
-    for _ in range(n_records):
-        (name_len,) = take("<H")
-        name = payload[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        tag, rank = take("<BB")
-        if tag not in DTYPE_TAGS:
-            raise FormatError(f"{path}: unknown dtype tag {tag}")
-        dims = take(f"<{rank}I") if rank else ()
-        dtype = DTYPE_TAGS[tag]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise FormatError(f"{path}: truncated record {name!r}")
-        arr = np.frombuffer(payload[offset:offset + nbytes], dtype=dtype).reshape(dims).copy()
-        offset += nbytes
-        if name.startswith(_MOMENTUM_PREFIX):
-            momentum[name[len(_MOMENTUM_PREFIX):]] = arr
-        else:
-            params[name] = arr
+    try:
+        (text_len,) = struct.unpack_from("<I", payload, 0)
+        offset = 4 + text_len
+        cfg, extra = model_config_from_text(payload[4:offset].decode("utf-8"))
+        iteration = parse_config_value("iteration", "int", extra.get("iteration", "0"))
+        (n_records,) = struct.unpack_from("<I", payload, offset)
+        offset += 4
+        for _ in range(n_records):
+            (name_len,) = struct.unpack_from("<H", payload, offset)
+            offset += 2 + name_len
+            name = payload[offset - name_len:offset].decode("utf-8")
+            arr, offset = unpack_array(payload, offset, path)
+            if name.startswith(_MOMENTUM_PREFIX):
+                momentum[name[len(_MOMENTUM_PREFIX):]] = arr
+            else:
+                params[name] = arr
+    except (struct.error, UnicodeDecodeError, ConfigInvalid) as exc:
+        raise FormatError(f"{path}: malformed payload: {exc}") from exc
     if offset != len(payload):
         raise FormatError(f"{path}: trailing bytes in payload")
     return Checkpoint(
@@ -408,7 +356,7 @@ def load_checkpoint(path) -> Checkpoint:
         config=cfg,
         params=params,
         momentum=momentum,
-        iteration=int(extra.get("iteration", 0)),
+        iteration=iteration,
     )
 
 

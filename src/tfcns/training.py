@@ -41,12 +41,16 @@ class TrainConfig:
     max_iterations: Optional[int] = None
 
     def validate(self) -> None:
-        if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ConfigInvalid("rates must be non-negative")
+        for name in ("lr", "momentum", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigInvalid(f"{name} {getattr(self, name)} must be finite and non-negative")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigInvalid(f"lr_decay_factor {self.lr_decay_factor} outside (0, 1]")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigInvalid("batch_size and epochs must be positive")
+        for name in ("eval_every", "max_iterations"):
+            if (getattr(self, name) or 0) < 0:
+                raise ConfigInvalid(f"{name} {getattr(self, name)} must be non-negative")
 
 
 @dataclass

@@ -103,6 +103,15 @@ class TestTrainCommand:
         assert rc == 2
         assert "/no/such/dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "n_heads=0", "resmlp_hidden=0", "clab_kernels=0", "layers_per_block=-1,2,2",
+        "input_size=0", "lr=nan", "max_iterations=-3", "eval_every=-1",
+    ])
+    def test_invalid_value_is_exit_2_naming_key(self, setting, dataset_dir, tmp_path, capsys):
+        rc = main(["train", *model_flags(dataset_dir, tmp_path), "--set", setting])
+        assert rc == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+
     def test_smoke_run_writes_log_and_effective_config(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
         rc = main(["train", *model_flags(dataset_dir, out),

@@ -61,6 +61,24 @@ class TestTensorFile:
             D.read_tensor(path)
         assert "99" in str(exc.value) and "1" in str(exc.value)
 
+    @pytest.mark.parametrize("arr, golden", [
+        (np.arange(6, dtype=np.float32).reshape(2, 3) - 1.5,
+         b"TNSR\x01\x00\x00\x02"                      # magic, version 1, float32, rank 2
+         b"\x02\x00\x00\x00\x03\x00\x00\x00"          # dims 2, 3
+         b"\x00\x00\xc0\xbf\x00\x00\x00\xbf\x00\x00\x00\x3f"  # -1.5, -0.5, 0.5
+         b"\x00\x00\xc0\x3f\x00\x00\x20\x40\x00\x00\x60\x40"  # 1.5, 2.5, 3.5
+         b"\xdb\x90\x54\x24"),                         # CRC32 of the payload
+        (np.array(2.5, dtype=np.float32),
+         b"TNSR\x01\x00\x00\x00"                      # magic, version 1, float32, rank 0
+         b"\x00\x00\x20\x40"                          # 2.5
+         b"\x2e\xba\x1c\xc2"),                         # CRC32 of the payload
+    ], ids=["f32_2x3", "f32_scalar"])
+    def test_layout_golden_bytes(self, arr, golden, tmp_path):
+        D.write_tensor(tmp_path / "g.tnsr", arr)
+        assert (tmp_path / "g.tnsr").read_bytes() == golden
+        back = D.read_tensor(tmp_path / "g.tnsr")
+        assert back.shape == arr.shape and np.array_equal(back, arr)
+
     def test_writer_is_byte_deterministic(self, rng, tmp_path):
         arr = rng.standard_normal((3, 5)).astype(np.float64)
         D.write_tensor(tmp_path / "a.tnsr", arr)
@@ -188,7 +206,3 @@ class TestDatasetDirectory:
         assert len(t1) == 8 and len(e1) == 2
         assert [p.case_id for p in t1] == [p.case_id for p in t2]
         assert [p.case_id for p in e1] == [p.case_id for p in e2]
-
-    def test_converter_stub_documents_layout(self):
-        with pytest.raises(NotImplementedError):
-            D.convert_ct_volume("src", "dst")

@@ -4,8 +4,10 @@ activation maps, and checkpoint IO."""
 
 import os
 import re
+import struct
 import subprocess
 import sys
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -379,3 +381,14 @@ class TestCheckpoint:
         back, extra = model_config_from_text(text)
         assert back == cfg
         assert extra == {"iteration": "5"}
+
+    def test_unparseable_config_value_is_format_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(tiny_model_config()), None, path)
+        blob = path.read_bytes()
+        (text_len,) = struct.unpack_from("<I", blob, 8)
+        text = blob[12:12 + text_len].replace(b"in_channels = 1\n", b"in_channels = one\n")
+        payload = struct.pack("<I", len(text)) + text + blob[12 + text_len:-4]
+        path.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(FormatError, match="in_channels"):
+            load_checkpoint(path)
