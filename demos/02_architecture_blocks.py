@@ -38,7 +38,7 @@ print("attention     : weights", attn.last_attention.shape,
 
 ff = L.ResMLPBlock(32, 64, np.random.default_rng(6), dtype=F64)
 z = ff(z)
-print("resmlp        : learned scalar alpha =", float(ff.alpha.tensor.data))
+print("resmlp        : learned scalar alpha =", float(ff.alpha.data))
 
 fmap = L.tokens_to_map(z, 8, 8)
 print("tokens_to_map :", z.shape, "->", fmap.shape, "(class token dropped)")

@@ -68,10 +68,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        """The underlying array. Treat as read-only."""
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
@@ -116,26 +112,16 @@ class Tensor:
         return reduce_mean(self, axis=axis, keepdims=keepdims)
 
 
-class Parameter:
-    """A named, trainable tensor. Names are assigned when a model registry is built."""
+class Parameter(Tensor):
+    """A trainable tensor with a registry name (assigned when a model's
+    registry is built) and a flag that exempts it from weight decay."""
 
-    __slots__ = ("name", "tensor", "no_decay")
+    __slots__ = ("name", "no_decay")
 
-    def __init__(self, tensor: Tensor, no_decay: bool = False):
+    def __init__(self, data, no_decay: bool = False):
+        super().__init__(data)
         self.name = ""
-        self.tensor = tensor
         self.no_decay = no_decay
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self.tensor.grad
-
-    def __repr__(self):
-        return f"Parameter({self.name or '<unnamed>'}, shape={self.tensor.shape})"
 
 
 @dataclass

@@ -82,7 +82,8 @@ SCHEMA = [(key, kind, _HELP[key]) for key, kind in _KINDS.items()]
 
 
 class RunConfig:
-    """Merged model/training/path configuration."""
+    """Merged model/training/path configuration; the config accessors validate
+    what they return."""
 
     def __init__(self):
         self.values = {**vars(ModelConfig()), **vars(TrainConfig()), **dict.fromkeys(_PATH_KEYS)}
@@ -100,10 +101,14 @@ class RunConfig:
             self.set(key, value)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(**{k: self.values[k] for k in _MODEL_KINDS})
+        cfg = ModelConfig(**{k: self.values[k] for k in _MODEL_KINDS})
+        cfg.validate()
+        return cfg
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**{k: self.values[k] for k in _TRAIN_KINDS})
+        cfg = TrainConfig(**{k: self.values[k] for k in _TRAIN_KINDS})
+        cfg.validate()
+        return cfg
 
     def path(self, key: str) -> Optional[str]:
         return self.values[key]
@@ -176,11 +181,11 @@ def _load_image(path, cfg) -> np.ndarray:
 
 def cmd_train(args) -> int:
     rc = _load_run_config(args)
+    model_cfg, train_cfg = rc.model_config(), rc.train_config()
     out = _require_out_dir(rc)
     pairs = _load_pairs(rc)
     _echo_config(rc, out)
-    model = build(rc.model_config())
-    train(model, pairs, rc.train_config(), out_dir=out)
+    train(build(model_cfg), pairs, train_cfg, out_dir=out)
     return 0
 
 
@@ -223,11 +228,12 @@ def cmd_cam(args) -> int:
 
 def cmd_ablate(args) -> int:
     rc = _load_run_config(args)
+    model_cfg, train_cfg = rc.model_config(), rc.train_config()
     out = _require_out_dir(rc)
     pairs = _load_pairs(rc)
     _echo_config(rc, out)
     header, grid = ablation_grid(args.axis)
-    table = run_ablation(rc.model_config(), rc.train_config(), grid, pairs, label_header=header)
+    table = run_ablation(model_cfg, train_cfg, grid, pairs, label_header=header)
     text = table.to_tsv()
     sys.stdout.write(text)
     (out / f"ablation_{args.axis}.tsv").write_text(text, encoding="utf-8")

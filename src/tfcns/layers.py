@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ConfigInvalid, ShapeMismatch
-from .nn import Conv2d, ConvTranspose2d, Dropout, LayerNorm, Linear, Module, embedding_init, he_normal
+from .nn import Conv2d, ConvTranspose2d, LayerNorm, Linear, Module, embedding_init, he_normal
 
 
 class DenseBlock(Module):
@@ -36,7 +36,7 @@ class DenseBlock(Module):
             Conv2d(in_channels + i * growth_rate, growth_rate, 3, rng, padding=1, dtype=dtype)
             for i in range(n_layers)
         ]
-        self.drop = Dropout(dropout_p)
+        self.dropout_p = dropout_p
 
     @property
     def out_channels(self) -> int:
@@ -46,7 +46,7 @@ class DenseBlock(Module):
                 rng: Optional[np.random.Generator] = None) -> Tensor:
         feats = x
         for conv in self.convs:
-            new = self.drop(ad.gelu(conv(feats)), training, rng)
+            new = ad.dropout(ad.gelu(conv(feats)), self.dropout_p, training, rng)
             feats = ad.concat([feats, new], axis=1)
         return feats
 
@@ -100,13 +100,13 @@ class PatchEmbedding(Module):
                 f"feature map {hf}x{wf} yields {hf * wf} tokens, embedding built for {self.n_tokens}"
             )
         flat = ad.transpose(ad.reshape(feature_map, (b, c, hf * wf)), (0, 2, 1))
-        tokens = ad.matmul(flat, self.projection.tensor)
+        tokens = ad.matmul(flat, self.projection)
         cls = ad.add(
-            ad.reshape(self.class_token.tensor, (1, 1, self.embed_dim)),
+            ad.reshape(self.class_token, (1, 1, self.embed_dim)),
             np.zeros((b, 1, self.embed_dim), dtype=feature_map.dtype),
         )
         seq = ad.concat([cls, tokens], axis=1)
-        return ad.add(seq, ad.reshape(self.position_table.tensor, (1, self.n_tokens + 1, self.embed_dim)))
+        return ad.add(seq, ad.reshape(self.position_table, (1, self.n_tokens + 1, self.embed_dim)))
 
 
 def tokens_to_map(z: Tensor, hf: int, wf: int) -> Tensor:
@@ -141,7 +141,7 @@ class MHSABlock(Module):
         self.w_k = Linear(embed_dim, embed_dim, rng, dtype=dtype, bias=False)
         self.w_v = Linear(embed_dim, embed_dim, rng, dtype=dtype)
         self.w_o = Linear(embed_dim, embed_dim, rng, dtype=dtype)
-        self.drop = Dropout(attn_dropout_p)
+        self.dropout_p = attn_dropout_p
         self.last_attention: Optional[np.ndarray] = None
 
     def _split_heads(self, x: Tensor, b: int, t: int) -> Tensor:
@@ -158,7 +158,7 @@ class MHSABlock(Module):
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
         attn = ad.softmax(scores, axis=-1)
         self.last_attention = attn.data
-        attn = self.drop(attn, training, rng)
+        attn = ad.dropout(attn, self.dropout_p, training, rng)
         ctx = ad.matmul(attn, v)
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
         return ad.add(self.w_o(merged), z)
@@ -180,19 +180,19 @@ class ResMLPBlock(Module):
         self.l1 = Linear(embed_dim, hidden_dim, rng, dtype=dtype)
         self.l2 = Linear(hidden_dim, embed_dim, rng, dtype=dtype)
         self.l3 = Linear(embed_dim, embed_dim, rng, dtype=dtype)
-        self.alpha = Parameter(Tensor(np.ones((), dtype=dtype)), no_decay=True)
-        self.drop = Dropout(dropout_p)
+        self.alpha = Parameter(np.ones((), dtype=dtype), no_decay=True)
+        self.dropout_p = dropout_p
 
     def forward(self, z: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
         zn = self.norm(z)
-        a = ad.mul(ad.gelu(self.l1(zn)), self.alpha.tensor)
-        a = self.drop(a, training, rng)
+        a = ad.mul(ad.gelu(self.l1(zn)), self.alpha)
+        a = ad.dropout(a, self.dropout_p, training, rng)
         a = self.l2(a)
-        a = self.drop(a, training, rng)
+        a = ad.dropout(a, self.dropout_p, training, rng)
         inner = ad.add(zn, a)
         out = self.l3(ad.gelu(inner))
-        out = self.drop(out, training, rng)
+        out = ad.dropout(out, self.dropout_p, training, rng)
         return ad.add(out, z)
 
 
@@ -205,12 +205,12 @@ class PlainMLPBlock(Module):
         self.norm = LayerNorm(embed_dim, dtype=dtype)
         self.l1 = Linear(embed_dim, hidden_dim, rng, dtype=dtype)
         self.l2 = Linear(hidden_dim, embed_dim, rng, dtype=dtype)
-        self.drop = Dropout(dropout_p)
+        self.dropout_p = dropout_p
 
     def forward(self, z: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-        h = self.drop(ad.gelu(self.l1(self.norm(z))), training, rng)
-        out = self.drop(self.l2(h), training, rng)
+        h = ad.dropout(ad.gelu(self.l1(self.norm(z))), self.dropout_p, training, rng)
+        out = ad.dropout(self.l2(h), self.dropout_p, training, rng)
         return ad.add(out, z)
 
 
@@ -281,7 +281,7 @@ class _BranchGate(Module):
         if c != self.in_channels:
             raise ShapeMismatch(f"gate built for {self.in_channels} channels, got {c}")
         n = self.n_branches
-        w = ad.concat([conv.weight.tensor for conv in self.branches], axis=0)
+        w = ad.concat([conv.weight for conv in self.branches], axis=0)
         w = ad.reduce_mean(ad.reshape(w, (n, self.branch_kernels, c, 1, 1)), axis=1)
         m = ad.conv2d(x, w)
         mu = ad.reduce_mean(m, axis=(2, 3), keepdims=True)
@@ -300,8 +300,7 @@ class CLAB(_BranchGate):
     resulting gate (open interval (0,1)) multiplies the source input.
     Output shape equals input shape."""
 
-    def forward(self, x: Tensor, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         xm, means = self._branch_features(x)
         spatial = self.gate_conv(xm)
         channel = self._channel_logits(means)
@@ -315,8 +314,7 @@ class CUABLike(_BranchGate):
     sigmoid gate is applied first, then the channel gate is recomputed from
     the already-gated features and applied on top."""
 
-    def forward(self, x: Tensor, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         xm1, _ = self._branch_features(x)
         spatial_gate = ad.sigmoid(self.gate_conv(xm1))
         x1 = ad.mul(x, spatial_gate)

@@ -36,11 +36,7 @@ def one_hot(target: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarra
         raise ClassOutOfRange(
             f"mask values in [{target.min()}, {target.max()}] outside [0, {num_classes})"
         )
-    out = np.zeros((target.shape[0], num_classes) + target.shape[1:], dtype=dtype)
-    b, h, w = target.shape
-    bi, hi, wi = np.meshgrid(np.arange(b), np.arange(h), np.arange(w), indexing="ij")
-    out[bi, target, hi, wi] = 1
-    return out
+    return (target[:, None] == np.arange(num_classes)[:, None, None]).astype(dtype)
 
 
 def _check_logits_target(logits: Tensor, target: np.ndarray) -> None:

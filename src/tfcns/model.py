@@ -21,6 +21,7 @@ Checkpoint container layout (little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -235,7 +236,7 @@ class TFCNsModel(Module):
             skip = skips[len(skips) - 1 - i]
             y = up(y)
             if gate is not None:
-                skip = gate(skip, training, rng)
+                skip = gate(skip)
             y = ad.concat([y, skip], axis=1)
             y = block(y, training, rng)
 
@@ -299,11 +300,12 @@ _MOMENTUM_PREFIX = "optimizer.momentum/"
 def save_checkpoint(model: TFCNsModel, optimizer_state, path) -> None:
     """Write model parameters (and, when given, optimizer momentum buffers and
     the iteration counter) to the TFCN container. Byte-identical for identical
-    state."""
+    state. The file is written to ``<path>.tmp``, synced and renamed over
+    ``path``, so a crash mid-write leaves the previous checkpoint intact."""
     iteration = 0 if optimizer_state is None else optimizer_state.iteration
     text = model_config_to_text(model.cfg, extra={"iteration": iteration}).encode("utf-8")
     chunks = [struct.pack("<I", len(text)), text]
-    records = [(name, p.tensor.data) for name, p in model.named_parameters()]
+    records = [(name, p.data) for name, p in model.named_parameters()]
     if optimizer_state is not None:
         records += [
             (_MOMENTUM_PREFIX + name, buf) for name, buf in optimizer_state.momentum.items()
@@ -313,10 +315,18 @@ def save_checkpoint(model: TFCNsModel, optimizer_state, path) -> None:
         name_b = name.encode("utf-8")
         chunks += [struct.pack("<H", len(name_b)), name_b, *pack_array(arr)]
     payload = b"".join(chunks)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(payload)
+            f.write(struct.pack("<I", zlib.crc32(payload)))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -373,12 +383,9 @@ def restore_parameters(model: TFCNsModel, params: dict) -> None:
         )
     for name, p in model.named_parameters():
         arr = params[name]
-        if tuple(arr.shape) != p.tensor.shape:
-            raise FormatError(f"{name}: checkpoint shape {arr.shape} != model {p.tensor.shape}")
-        arr = arr.astype(p.tensor.dtype, copy=False)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        p.tensor.data = arr.copy()
+        if tuple(arr.shape) != p.shape:
+            raise FormatError(f"{name}: checkpoint shape {arr.shape} != model {p.shape}")
+        p.data = np.array(arr, dtype=p.dtype, order="C")
 
 
 def model_from_checkpoint(source) -> tuple[TFCNsModel, Checkpoint]:

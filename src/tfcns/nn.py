@@ -2,6 +2,7 @@
 (linear, conv, transposed conv, layer norm) that the architecture blocks
 are assembled from.
 
+A ``Parameter`` is a ``Tensor``, so layers pass it straight to the ops.
 Weights use He fan-in initialization, biases start at zero, and embedding
 tables use N(0, 0.02). Construction order fixes the parameter registry
 order, so a fixed seed yields bit-identical parameters.
@@ -9,7 +10,7 @@ order, so a fixed seed yields bit-identical parameters.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -42,28 +43,20 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def param_count(self) -> int:
-        return sum(p.tensor.size for p in self.parameters())
+        return sum(p.size for p in self.parameters())
 
     def zero_grad(self) -> None:
         for p in self.parameters():
-            p.tensor.grad = None
+            p.grad = None
 
 
-def he_normal(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> Tensor:
+def he_normal(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
     std = np.sqrt(2.0 / fan_in)
-    return Tensor((rng.standard_normal(shape) * std).astype(dtype))
+    return (rng.standard_normal(shape) * std).astype(dtype)
 
 
-def zeros(shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-def ones(shape, dtype) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype))
-
-
-def embedding_init(rng: np.random.Generator, shape: tuple, dtype) -> Tensor:
-    return Tensor((rng.standard_normal(shape) * 0.02).astype(dtype))
+def embedding_init(rng: np.random.Generator, shape: tuple, dtype) -> np.ndarray:
+    return (rng.standard_normal(shape) * 0.02).astype(dtype)
 
 
 class Linear(Module):
@@ -73,13 +66,13 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = Parameter(he_normal(rng, (in_features, out_features), in_features, dtype))
         if bias:
-            self.bias = Parameter(zeros((out_features,), dtype), no_decay=True)
+            self.bias = Parameter(np.zeros(out_features, dtype), no_decay=True)
         else:
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.weight.tensor)
-        return y if self.bias is None else ad.add(y, self.bias.tensor)
+        y = ad.matmul(x, self.weight)
+        return y if self.bias is None else ad.add(y, self.bias)
 
 
 class Conv2d(Module):
@@ -93,14 +86,12 @@ class Conv2d(Module):
             he_normal(rng, (out_channels, in_channels, k, k), in_channels * k * k, dtype)
         )
         if bias:
-            self.bias = Parameter(zeros((out_channels,), dtype), no_decay=True)
+            self.bias = Parameter(np.zeros(out_channels, dtype), no_decay=True)
         else:
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight.tensor,
-                         None if self.bias is None else self.bias.tensor,
-                         self.stride, self.padding)
+        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class ConvTranspose2d(Module):
@@ -111,25 +102,18 @@ class ConvTranspose2d(Module):
         self.weight = Parameter(
             he_normal(rng, (in_channels, out_channels, k, k), in_channels * k * k, dtype)
         )
-        self.bias = Parameter(zeros((out_channels,), dtype), no_decay=True)
+        self.bias = Parameter(np.zeros(out_channels, dtype), no_decay=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.conv_transpose2d(x, self.weight.tensor, self.bias.tensor, self.stride)
+        return ad.conv_transpose2d(x, self.weight, self.bias, self.stride)
 
 
 class LayerNorm(Module):
     def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-6):
         self.eps = eps
-        self.gamma = Parameter(ones((dim,), dtype))
-        self.beta = Parameter(zeros((dim,), dtype), no_decay=True)
+        self.gamma = Parameter(np.ones(dim, dtype))
+        self.beta = Parameter(np.zeros(dim, dtype), no_decay=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma.tensor, self.beta.tensor, self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta, self.eps)
 
-
-class Dropout(Module):
-    def __init__(self, p: float):
-        self.p = p
-
-    def forward(self, x: Tensor, training: bool, rng: Optional[np.random.Generator]) -> Tensor:
-        return ad.dropout(x, self.p, training, rng)

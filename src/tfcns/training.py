@@ -64,7 +64,7 @@ class OptimizerState:
     @classmethod
     def for_model(cls, model: TFCNsModel) -> "OptimizerState":
         return cls(momentum={
-            name: np.zeros_like(p.tensor.data)
+            name: np.zeros_like(p.data)
             for name, p in model.named_parameters()
         })
 
@@ -85,15 +85,15 @@ def sgd_step(params: Sequence[Parameter], state: OptimizerState, cfg: TrainConfi
     """
     lr = lr_at(state.iteration, cfg)
     for p in params:
-        g = p.tensor.grad
+        g = p.grad
         if g is None:
-            g = np.zeros_like(p.tensor.data)
+            g = np.zeros_like(p.data)
         if cfg.weight_decay and not p.no_decay:
-            g = g + cfg.weight_decay * p.tensor.data
+            g = g + cfg.weight_decay * p.data
         v = state.momentum[p.name]
         v *= cfg.momentum
         v += g
-        p.tensor.data -= lr * v
+        p.data -= lr * v
     state.iteration += 1
 
 
@@ -223,11 +223,11 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
     try:
         for it in range(total):
             x, y, model_rng = _prepare_batch(dataset, cfg, it, model.dtype)
-            model.zero_grad()
+            model.zero_grad()  # else last step's gradients stay alive through this forward's peak memory
             try:
                 with ad.Tape() as tape:
                     for p in model.parameters():
-                        tape.watch(p.tensor)
+                        tape.watch(p)
                     logits = model.forward(x, training=True, rng=model_rng)
                     loss, d_part, c_part = combined_loss_parts(logits, y, num_classes)
                     ad.backward(loss)

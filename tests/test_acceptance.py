@@ -44,7 +44,7 @@ def t64(arr):
 
 
 def block_tensors(block, *extra):
-    return list(extra) + [p.tensor for p in block.parameters()]
+    return list(extra) + [p for p in block.parameters()]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_criterion_01_gradient_correctness():
     model = build(tiny_model_config(), dtype=F64)
     xin = t64(rng.standard_normal((1, 1, 16, 16)))
     end_to_end = grad_check_tensors(
-        lambda: model.forward(xin).mean(), [p.tensor for p in model.parameters()])
+        lambda: model.forward(xin).mean(), [p for p in model.parameters()])
     assert end_to_end < 1e-3, f"end-to-end: {end_to_end:.3e}"
 
     elapsed = time.time() - start
@@ -159,18 +159,18 @@ def test_criterion_02_equation_collapses():
     mhsa = L.MHSABlock(8, 2, np.random.default_rng(0), dtype=F64)
     for name, p in mhsa.named_parameters():
         if "norm" not in name:
-            p.tensor.data[...] = 0.0
+            p.data[...] = 0.0
     d_attn = np.max(np.abs(mhsa(z).data - z.data))
 
     resmlp = L.ResMLPBlock(8, 12, np.random.default_rng(0), dtype=F64)
     for name, p in resmlp.named_parameters():
         if "norm" not in name:
-            p.tensor.data[...] = 0.0
+            p.data[...] = 0.0
     d_mlp = np.max(np.abs(resmlp(z).data - z.data))
 
     collapse = L.ResMLPBlock(8, 12, np.random.default_rng(0), dtype=F64)
-    collapse.alpha.tensor.data[...] = 0.0
-    collapse.l2.bias.tensor.data[...] = 0.0
+    collapse.alpha.data[...] = 0.0
+    collapse.l2.bias.data[...] = 0.0
     expected = ad.add(collapse.l3(ad.gelu(collapse.norm(z))), z)
     d_alpha = np.max(np.abs(collapse(z).data - expected.data))
 
@@ -213,8 +213,8 @@ def test_criterion_04_clab_properties():
 
     zeroed = L.CLAB(4, 2, 3, np.random.default_rng(0), dtype=F64)
     for mod in (zeroed.gate_conv, zeroed.gate_linear):
-        mod.weight.tensor.data[...] = 0.0
-        mod.bias.tensor.data[...] = 0.0
+        mod.weight.data[...] = 0.0
+        mod.bias.data[...] = 0.0
     assert np.array_equal(zeroed(x).data, 0.5 * x.data)
 
     wcc = rng.standard_normal((1, 4, 6, 6))
@@ -289,16 +289,16 @@ def test_criterion_06_loss_composition():
 def test_criterion_07_optimizer():
     from tfcns.autodiff import Parameter
 
-    p = Parameter(Tensor(np.array([1.0]), dtype=F64))
+    p = Parameter(np.array([1.0], dtype=F64))
     p.name = "w"
     state = OptimizerState(momentum={"w": np.zeros(1)})
     cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-    p.tensor.grad = np.ones(1)
+    p.grad = np.ones(1)
     sgd_step([p], state, cfg)
-    p.tensor.grad = np.ones(1)
+    p.grad = np.ones(1)
     sgd_step([p], state, cfg)
     assert abs(state.momentum["w"][0] - 1.9) <= 1e-12
-    assert abs(p.tensor.data[0] - 0.71) <= 1e-12
+    assert abs(p.data[0] - 0.71) <= 1e-12
 
     sched = TrainConfig(lr=0.005, lr_decay_at=30000, lr_decay_factor=0.1)
     assert lr_at(29999, sched) == 0.005
@@ -340,11 +340,11 @@ def test_criterion_08_overfit_learning_signal(overfit_dataset):
     assert np.all(np.diff(ma) <= 1e-9), "50-iteration moving average increased"
 
     frozen = build(ModelConfig(**OVERFIT_MODEL))
-    before = {n: p.tensor.data.copy() for n, p in frozen.named_parameters()}
+    before = {n: p.data.copy() for n, p in frozen.named_parameters()}
     train(frozen, overfit_dataset, TrainConfig(lr=0.0, batch_size=8, max_iterations=20,
                                                eval_every=0, seed=1))
     for name, p in frozen.named_parameters():
-        assert np.array_equal(p.tensor.data, before[name])
+        assert np.array_equal(p.data, before[name])
     report(8, f"train dice {dice:.2f}% (> 95) in 500 iterations, {elapsed:.0f}s (< 600s); "
               f"loss 50-MA non-increasing; lr=0 leaves parameters bit-identical")
 

@@ -111,6 +111,7 @@ class TestTrainCommand:
         rc = main(["train", *model_flags(dataset_dir, tmp_path), "--set", setting])
         assert rc == 2
         assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "effective_config.txt").exists()
 
     def test_smoke_run_writes_log_and_effective_config(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -211,3 +212,10 @@ class TestAblateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["ablate", *model_flags(dataset_dir, tmp_path)])
         assert exc.value.code == 2
+
+    def test_invalid_value_is_exit_2_and_creates_no_output_dir(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "abl"
+        rc = main(["ablate", "--axis", "mlp", *model_flags(dataset_dir, out), "--set", "lr=nan"])
+        assert rc == 2
+        assert "lr" in capsys.readouterr().err
+        assert not out.exists()

@@ -21,14 +21,14 @@ def t64(arr):
 
 def zero_params(module):
     for p in module.parameters():
-        p.tensor.data[...] = 0.0
+        p.data[...] = 0.0
 
 
 def zero_linears(block):
     """Zero every linear/projection weight and bias but keep layer norms."""
     for name, p in block.named_parameters():
         if "norm" not in name:
-            p.tensor.data[...] = 0.0
+            p.data[...] = 0.0
 
 
 class TestDenseBlock:
@@ -61,7 +61,7 @@ class TestDenseBlock:
         blk = L.DenseBlock(2, 2, 2, np.random.default_rng(0), dtype=F64)
         x = t64(rng.standard_normal((1, 2, 8, 8)))
         w = rng.standard_normal((1, 6, 8, 8))
-        tensors = [x] + [p.tensor for p in blk.parameters()]
+        tensors = [x] + [p for p in blk.parameters()]
         assert grad_check_tensors(lambda: ad.mul(blk(x), w).sum(), tensors) < 1e-4
 
 
@@ -90,12 +90,12 @@ class TestTransitions:
         td = L.TransitionDown(2, 3, np.random.default_rng(0), dtype=F64)
         x = t64(rng.standard_normal((1, 2, 4, 4)))
         w = rng.standard_normal((1, 3, 2, 2))
-        tensors = [x] + [p.tensor for p in td.parameters()]
+        tensors = [x] + [p for p in td.parameters()]
         assert grad_check_tensors(lambda: ad.mul(td(x), w).sum(), tensors) < 1e-4
 
         tu = L.TransitionUp(2, 3, np.random.default_rng(0), dtype=F64)
         w2 = rng.standard_normal((1, 3, 8, 8))
-        tensors = [x] + [p.tensor for p in tu.parameters()]
+        tensors = [x] + [p for p in tu.parameters()]
         assert grad_check_tensors(lambda: ad.mul(tu(x), w2).sum(), tensors) < 1e-4
 
 
@@ -113,8 +113,8 @@ class TestPatchEmbedding:
 
     def test_identity_projection_reproduces_features(self, rng):
         pe = L.PatchEmbedding(4, 4, 6, np.random.default_rng(0), dtype=F64)
-        pe.projection.tensor.data[...] = np.eye(4)
-        pe.position_table.tensor.data[...] = 0.0
+        pe.projection.data[...] = np.eye(4)
+        pe.position_table.data[...] = 0.0
         fm = rng.standard_normal((1, 4, 2, 3))
         out = pe(t64(fm))
         tokens = out.data[:, 1:, :]
@@ -122,8 +122,8 @@ class TestPatchEmbedding:
 
     def test_round_trip_through_tokens_to_map(self, rng):
         pe = L.PatchEmbedding(4, 4, 6, np.random.default_rng(0), dtype=F64)
-        pe.projection.tensor.data[...] = np.eye(4)
-        pe.position_table.tensor.data[...] = 0.0
+        pe.projection.data[...] = np.eye(4)
+        pe.position_table.data[...] = 0.0
         fm = rng.standard_normal((2, 4, 2, 3))
         back = L.tokens_to_map(pe(t64(fm)), 2, 3)
         assert np.allclose(back.data, fm, atol=1e-12)
@@ -157,9 +157,9 @@ class TestMHSABlock:
 
     def test_zero_value_path_is_identity(self, rng):
         blk = L.MHSABlock(8, 2, np.random.default_rng(0), dtype=F64)
-        blk.w_v.weight.tensor.data[...] = 0.0
-        blk.w_v.bias.tensor.data[...] = 0.0
-        blk.w_o.bias.tensor.data[...] = 0.0
+        blk.w_v.weight.data[...] = 0.0
+        blk.w_v.bias.data[...] = 0.0
+        blk.w_o.bias.data[...] = 0.0
         z = t64(rng.standard_normal((2, 4, 8)))
         assert np.array_equal(blk(z).data, z.data)
 
@@ -185,7 +185,7 @@ class TestMHSABlock:
         blk = L.MHSABlock(8, 2, np.random.default_rng(0), dtype=F64)
         z = t64(rng.standard_normal((1, 3, 8)))
         w = rng.standard_normal((1, 3, 8))
-        tensors = [z] + [p.tensor for p in blk.parameters()]
+        tensors = [z] + [p for p in blk.parameters()]
         assert grad_check_tensors(lambda: ad.mul(blk(z), w).sum(), tensors) < 1e-4
 
 
@@ -198,8 +198,8 @@ class TestResMLPBlock:
 
     def test_alpha_zero_collapses_inner_residual(self, rng):
         blk = L.ResMLPBlock(8, 12, np.random.default_rng(0), dtype=F64)
-        blk.alpha.tensor.data[...] = 0.0
-        blk.l2.bias.tensor.data[...] = 0.0
+        blk.alpha.data[...] = 0.0
+        blk.l2.bias.data[...] = 0.0
         z = t64(rng.standard_normal((1, 4, 8)))
         # inner == LN(z) exactly, so the block reduces to L3(GELU(LN(z))) + z
         expected = ad.add(blk.l3(ad.gelu(blk.norm(z))), z)
@@ -207,8 +207,8 @@ class TestResMLPBlock:
 
     def test_alpha_initialized_to_one(self):
         blk = L.ResMLPBlock(8, 12, np.random.default_rng(0))
-        assert blk.alpha.tensor.shape == ()
-        assert float(blk.alpha.tensor.data) == 1.0
+        assert blk.alpha.shape == ()
+        assert float(blk.alpha.data) == 1.0
 
     def test_param_count_golden(self):
         blk = L.ResMLPBlock(8, 12, np.random.default_rng(0))
@@ -219,8 +219,8 @@ class TestResMLPBlock:
         blk = L.ResMLPBlock(8, 10, np.random.default_rng(0), dtype=F64)
         z = t64(rng.standard_normal((1, 2, 8)))
         w = rng.standard_normal((1, 2, 8))
-        tensors = [z, blk.alpha.tensor] + [
-            p.tensor for name, p in blk.named_parameters() if name != "alpha"
+        tensors = [z, blk.alpha] + [
+            p for name, p in blk.named_parameters() if name != "alpha"
         ]
         assert grad_check_tensors(lambda: ad.mul(blk(z), w).sum(), tensors) < 1e-4
 
@@ -265,10 +265,10 @@ class TestRLTransformerEncoder:
 class TestCLAB:
     def test_zero_gate_weights_halve_input(self, rng):
         gate = L.CLAB(4, 2, 3, np.random.default_rng(0), dtype=F64)
-        gate.gate_conv.weight.tensor.data[...] = 0.0
-        gate.gate_conv.bias.tensor.data[...] = 0.0
-        gate.gate_linear.weight.tensor.data[...] = 0.0
-        gate.gate_linear.bias.tensor.data[...] = 0.0
+        gate.gate_conv.weight.data[...] = 0.0
+        gate.gate_conv.bias.data[...] = 0.0
+        gate.gate_linear.weight.data[...] = 0.0
+        gate.gate_linear.bias.data[...] = 0.0
         x = t64(rng.standard_normal((2, 4, 5, 5)))
         out = gate(x)
         assert np.array_equal(out.data, 0.5 * x.data)
@@ -323,7 +323,7 @@ class TestCLAB:
         gate = L.CLAB(4, 2, 3, np.random.default_rng(0), dtype=F64)
         x = t64(rng.standard_normal((1, 4, 6, 6)))
         w = rng.standard_normal((1, 4, 6, 6))
-        tensors = [x] + [p.tensor for p in gate.parameters()]
+        tensors = [x] + [p for p in gate.parameters()]
         assert grad_check_tensors(lambda: ad.mul(gate(x), w).sum(), tensors) < 1e-4
 
 
@@ -350,5 +350,5 @@ class TestCUABLike:
         gate = L.CUABLike(4, 2, 3, np.random.default_rng(0), dtype=F64)
         x = t64(rng.standard_normal((1, 4, 6, 6)))
         w = rng.standard_normal((1, 4, 6, 6))
-        tensors = [x] + [p.tensor for p in gate.parameters()]
+        tensors = [x] + [p for p in gate.parameters()]
         assert grad_check_tensors(lambda: ad.mul(gate(x), w).sum(), tensors) < 1e-4

@@ -2,6 +2,7 @@
 registry goldens, the dtype contract of a training step, prediction, class
 activation maps, and checkpoint IO."""
 
+import hashlib
 import os
 import re
 import struct
@@ -89,7 +90,7 @@ class TestBuild:
         a, b = build(cfg), build(cfg)
         for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
             assert na == nb
-            assert pa.tensor.data.tobytes() == pb.tensor.data.tobytes()
+            assert pa.data.tobytes() == pb.data.tobytes()
 
     def test_param_count_golden(self):
         cfg = tiny_model_config()
@@ -187,10 +188,10 @@ class TestForward:
         none_model = build(tiny_model_config(skip_attention="none"))
         clab_params = dict(clab_model.named_parameters())
         for name, p in none_model.named_parameters():
-            p.tensor.data[...] = clab_params[name].tensor.data
+            p.data[...] = clab_params[name].data
         for name, p in clab_model.named_parameters():
             if "skip_gates" in name and ("gate_conv" in name or "gate_linear" in name):
-                p.tensor.data[...] = 0.0
+                p.data[...] = 0.0
         x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
         out_none = none_model.forward(x).data
         out_clab = clab_model.forward(x).data
@@ -221,7 +222,7 @@ class TestDtypeContract:
         y = rng.integers(0, model.cfg.num_classes, size=(2, 16, 16))
         with ad.Tape() as tape:
             for p in model.parameters():
-                tape.watch(p.tensor)
+                tape.watch(p)
             logits = model.forward(x, training=True, rng=np.random.default_rng(0))
             loss, _, _ = combined_loss_parts(logits, y, model.cfg.num_classes)
             ad.backward(loss)
@@ -247,15 +248,15 @@ class TestDtypeContract:
 class TestPredict:
     def test_dominant_channel_wins_everywhere(self, rng):
         model = build(tiny_model_config())
-        model.head.weight.tensor.data[...] = 0.0
-        model.head.bias.tensor.data[...] = np.array([0.0, 50.0], dtype=np.float32)
+        model.head.weight.data[...] = 0.0
+        model.head.bias.data[...] = np.array([0.0, 50.0], dtype=np.float32)
         mask = predict(model, rng.standard_normal((1, 1, 16, 16)).astype(np.float32))
         assert np.all(mask == 1)
 
     def test_tie_breaks_to_lowest_index(self, rng):
         model = build(tiny_model_config())
-        model.head.weight.tensor.data[...] = 0.0
-        model.head.bias.tensor.data[...] = 0.0
+        model.head.weight.data[...] = 0.0
+        model.head.bias.data[...] = 0.0
         mask = predict(model, rng.standard_normal((1, 1, 16, 16)).astype(np.float32))
         assert np.all(mask == 0)
 
@@ -280,7 +281,7 @@ class TestCAM:
         x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
         cam = class_activation_map(model, x, 1)
         _, feats = model.forward(x, return_features=True)
-        w = model.head.weight.tensor.data[1, :, 0, 0]
+        w = model.head.weight.data[1, :, 0, 0]
         raw = np.maximum(np.tensordot(feats.data, w, axes=([1], [0])), 0.0)
         span = raw.max() - raw.min()
         expected = (raw - raw.min()) / span if span > 0 else np.zeros_like(raw)
@@ -294,7 +295,7 @@ class TestCAM:
 
     def test_zero_head_weights_give_zero_map(self, rng):
         model = build(tiny_model_config())
-        model.head.weight.tensor.data[1] = 0.0
+        model.head.weight.data[1] = 0.0
         cam = class_activation_map(model, rng.standard_normal((1, 1, 16, 16)).astype(np.float32), 1)
         assert np.array_equal(cam, np.zeros((1, 16, 16)))
 
@@ -305,6 +306,37 @@ class TestCAM:
 
 
 class TestCheckpoint:
+    # Digests of freshly built models pin the registry names and order, the
+    # init draw order and the container format together.
+    @pytest.mark.parametrize("cfg, dtype, size, digest", [
+        (tiny_model_config(), np.float32, 14_844,
+         "2b84df5d2fa32c237ca9882fd02d48e9916db7df3899e0de020c11c99af7e489"),
+        (tiny_model_config(), np.float64, 26_676,
+         "7fe7e6706872bd35cba9e159c327f65c799f65198bce7afdd6833d1e3b521161"),
+        (ModelConfig(num_classes=9, input_size=32), np.float32, 11_578_539,
+         "8a59c5b16a6587ac9344d059593de898dc12e4e92ad145b0eb4cebfdea045995"),
+    ], ids=["tiny-float32", "tiny-float64", "paper-default-32px-float32"])
+    def test_fresh_model_golden_digest(self, cfg, dtype, size, digest, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(cfg, dtype=dtype), None, path)
+        blob = path.read_bytes()
+        assert len(blob) == size
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_failed_replace_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build(tiny_model_config()), None, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_checkpoint(build(tiny_model_config(seed=1)), None, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_round_trip_forward_bit_identical(self, rng, tmp_path):
         model = build(small_model_config())
         x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model_config, tiny_model_config
-from tfcns.autodiff import Parameter, Tensor
+from tfcns.autodiff import Parameter
 from tfcns.data import SegmentationPair, SyntheticSpec, generate_synthetic
 from tfcns.errors import ConfigInvalid, NonFiniteLoss
 from tfcns.metrics import MetricReport
@@ -29,7 +29,7 @@ F64 = np.float64
 
 
 def scalar_param(value: float, name: str = "w") -> Parameter:
-    p = Parameter(Tensor(np.array([value]), dtype=F64))
+    p = Parameter(np.array([value], dtype=F64))
     p.name = name
     return p
 
@@ -53,32 +53,32 @@ class TestSGD:
         p = scalar_param(1.0)
         state = OptimizerState(momentum={"w": np.zeros(1)})
         cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-        p.tensor.grad = np.ones(1)
+        p.grad = np.ones(1)
         sgd_step([p], state, cfg)
-        assert abs(p.tensor.data[0] - 0.9) < 1e-12
+        assert abs(p.data[0] - 0.9) < 1e-12
         assert abs(state.momentum["w"][0] - 1.0) < 1e-12
-        p.tensor.grad = np.ones(1)
+        p.grad = np.ones(1)
         sgd_step([p], state, cfg)
         assert abs(state.momentum["w"][0] - 1.9) < 1e-12
-        assert abs(p.tensor.data[0] - 0.71) < 1e-12
+        assert abs(p.data[0] - 0.71) < 1e-12
         assert state.iteration == 2
 
     def test_zero_grad_zero_decay_is_identity(self):
         p = scalar_param(1.25)
         state = OptimizerState(momentum={"w": np.zeros(1)})
         cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0)
-        p.tensor.grad = np.zeros(1)
+        p.grad = np.zeros(1)
         sgd_step([p], state, cfg)
-        assert p.tensor.data[0] == 1.25
+        assert p.data[0] == 1.25
         assert state.momentum["w"][0] == 0.0
 
     def test_no_momentum_no_decay_is_vanilla_gd(self, rng):
         p = scalar_param(2.0)
         state = OptimizerState(momentum={"w": np.zeros(1)})
         cfg = TrainConfig(lr=0.05, momentum=0.0, weight_decay=0.0)
-        p.tensor.grad = np.array([3.0])
+        p.grad = np.array([3.0])
         sgd_step([p], state, cfg)
-        assert abs(p.tensor.data[0] - (2.0 - 0.05 * 3.0)) < 1e-15
+        assert abs(p.data[0] - (2.0 - 0.05 * 3.0)) < 1e-15
 
     def test_weight_decay_exemptions(self):
         model = build(tiny_model_config(), dtype=np.float64)
@@ -88,15 +88,15 @@ class TestSGD:
             assert p.no_decay == expected, name
 
         state = OptimizerState.for_model(model)
-        before = {n: p.tensor.data.copy() for n, p in model.named_parameters()}
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
         for p in model.parameters():
-            p.tensor.grad = np.zeros_like(p.tensor.data)
+            p.grad = np.zeros_like(p.data)
         sgd_step(model.parameters(), state, TrainConfig(lr=1.0, momentum=0.0, weight_decay=0.1))
         for name, p in model.named_parameters():
             if p.no_decay:
-                assert np.array_equal(p.tensor.data, before[name]), name
+                assert np.array_equal(p.data, before[name]), name
             else:
-                assert np.allclose(p.tensor.data, 0.9 * before[name], atol=1e-12), name
+                assert np.allclose(p.data, 0.9 * before[name], atol=1e-12), name
 
 
 class TestLrSchedule:
@@ -177,10 +177,10 @@ def quick_train_cfg(**overrides):
 class TestTrainLoop:
     def test_lr_zero_leaves_parameters_bit_identical(self, quick_dataset):
         model = build(small_model_config())
-        before = {n: p.tensor.data.copy() for n, p in model.named_parameters()}
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
         train(model, quick_dataset, quick_train_cfg(lr=0.0))
         for name, p in model.named_parameters():
-            assert np.array_equal(p.tensor.data, before[name]), name
+            assert np.array_equal(p.data, before[name]), name
 
     def test_fixed_seed_reproduces_loss_trajectory(self, quick_dataset):
         runs = []
