@@ -65,9 +65,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
@@ -311,17 +308,22 @@ def sigmoid(a: Tensor) -> Tensor:
     return _out("sigmoid", (a,), data, backward)
 
 
+def _gelu_forward(x: np.ndarray):
+    """(x * Phi(x), Phi(x)) with the exact Gaussian CDF (erf form, not the tanh fit)."""
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return g * (cdf + x * pdf)
+
+
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x) with the exact Gaussian CDF (erf form, not the tanh fit)."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    data = x * cdf
-
-    def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
-
-    return _out("gelu", (a,), data, backward)
+    data, cdf = _gelu_forward(x)
+    return _out("gelu", (a,), data, lambda g: (_gelu_backward(g, x, cdf),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -486,43 +488,94 @@ def _conv_taps(h: int, w: int, kh: int, kw: int, ho: int, wo: int, stride: int, 
     return [(i, j, axis(h, ho, i), axis(w, wo, j)) for i in range(kh) for j in range(kw)]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of B x C x H x W input with O x C x kh x kw kernels,
-    as kn2row: one GEMM gives kh*kw*O per-tap outputs at every input pixel, and
-    each tap's window is added in at its offset. No padding or im2col columns
-    are built; the tape keeps x and w."""
-    xd, wd = x.data, w.data
+def _conv2d_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], stride: int, padding: int):
+    """Array math of ``conv2d``: (output, context for ``_conv2d_backward``).
+    ``xd`` may be a channel-prefix view of a larger buffer; it is not copied."""
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeMismatch(f"conv2d expects 4-d input and weight, got {xd.shape}, {wd.shape}")
     bsz, c, h, width = xd.shape
     o, cw, kh, kw = wd.shape
     if cw != c:
         raise ShapeMismatch(f"conv2d channel mismatch: input {c}, weight {cw}")
-    if b is not None and b.data.shape != (o,):
-        raise ShapeMismatch(f"conv2d bias shape {b.data.shape}, expected ({o},)")
+    if bd is not None and bd.shape != (o,):
+        raise ShapeMismatch(f"conv2d bias shape {bd.shape}, expected ({o},)")
     ho, wo = _conv_geometry(h, width, kh, kw, stride, padding)
     taps = _conv_taps(h, width, kh, kw, ho, wo, stride, padding)
     x2 = xd.reshape(bsz, c, h * width)
     wt = wd.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
     z = (wt @ x2).reshape(bsz, kh, kw, o, h, width)
     data = np.zeros((bsz, o, ho, wo), z.dtype)
-    if b is not None:  # start from the bias: adding it last rounds worse
-        data += b.data[:, None, None]
+    if bd is not None:  # start from the bias: adding it last rounds worse
+        data += bd[:, None, None]
     for i, j, (ro, ri), (co, ci) in taps:
         data[:, :, ro, co] += z[:, i, j, :, ri, ci]
+    return data, (x2, wt, taps, xd.shape, (kh, kw, o), bd is not None)
+
+
+def _conv2d_backward(g: np.ndarray, ctx):
+    """(gx, gw, gb) of ``_conv2d_forward``; gb is None for a bias-free conv."""
+    x2, wt, taps, xshape, (kh, kw, o), has_bias = ctx
+    bsz, c, h, width = xshape
+    gz = np.zeros((bsz, kh, kw, o, h, width), dtype=g.dtype)
+    for i, j, (ro, ri), (co, ci) in taps:
+        gz[:, i, j, :, ri, ci] = g[:, :, ro, co]
+    gz = gz.reshape(bsz, kh * kw * o, h * width)
+    gx = (wt.T @ gz).reshape(xshape)
+    gw = (gz @ x2.transpose(0, 2, 1)).sum(axis=0).reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
+    gb = g.sum(axis=(0, 2, 3)) if has_bias else None
+    return gx, gw, gb
+
+
+def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
+           stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D cross-correlation of B x C x H x W input with O x C x kh x kw kernels,
+    as kn2row: one GEMM gives kh*kw*O per-tap outputs at every input pixel, and
+    each tap's window is added in at its offset. No padding or im2col columns
+    are built; the tape keeps x and w."""
+    data, ctx = _conv2d_forward(x.data, w.data, None if b is None else b.data, stride, padding)
+    return _out("conv2d", (x, w, b), data, lambda g: _conv2d_backward(g, ctx))
+
+
+def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
+                dropout_p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """FC-DenseNet block as one op over a shared feature buffer (Pleiss et al.,
+    arXiv:1707.06990): the inputs fill the first C0 channels of one
+    B x (C0 + L*g) x H x W buffer F, and layer i writes dropout(gelu(conv3x3))
+    of the channel-prefix view F[:, :C0 + i*g] into the next g channels.
+    Backward walks the layers in reverse over one copy of the output gradient,
+    adding each layer's input gradient into its prefix in place. The tape keeps
+    F and each layer's conv output, GELU cdf and dropout mask."""
+    xs = [t.data for t in inputs]
+    if any(x.ndim != 4 or x.shape[0] != xs[0].shape[0] or x.shape[2:] != xs[0].shape[2:] for x in xs):
+        raise ShapeMismatch(f"dense_block inputs differ in batch or map size: {[x.shape for x in xs]}")
+    sizes = [x.shape[1] for x in xs]
+    c0 = sum(sizes)
+    growth = weights[0].shape[0] if weights else 0
+    if any(w.shape[0] != growth or w.shape[2:] != (3, 3) for w in weights):
+        raise ShapeMismatch(f"dense_block layer weights {[w.shape for w in weights]} are not g x C x 3 x 3")
+    feats = np.empty((xs[0].shape[0], c0 + len(weights) * growth, *xs[0].shape[2:]), np.result_type(*xs))
+    np.concatenate(xs, axis=1, out=feats[:, :c0])
+    saved = []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        lo = c0 + i * growth
+        z, ctx = _conv2d_forward(feats[:, :lo], w.data, None if b is None else b.data, 1, 1)
+        y, cdf = _gelu_forward(z)
+        mask = _dropout_mask(y, dropout_p, training, rng)
+        feats[:, lo:lo + growth] = y if mask is None else y * mask
+        saved.append((ctx, z, cdf, mask))
 
     def backward(g):
-        gz = np.zeros((bsz, kh, kw, o, h, width), dtype=g.dtype)
-        for i, j, (ro, ri), (co, ci) in taps:
-            gz[:, i, j, :, ri, ci] = g[:, :, ro, co]
-        gz = gz.reshape(bsz, kh * kw * o, h * width)
-        gx = (wt.T @ gz).reshape(xd.shape)
-        gw = (gz @ x2.transpose(0, 2, 1)).sum(axis=0).reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
-        gb = g.sum(axis=(0, 2, 3)) if b is not None else None
-        return gx, gw, gb
+        gfeats = g.copy()
+        gws, gbs = [None] * len(saved), [None] * len(saved)
+        for i, (ctx, z, cdf, mask) in reversed(list(enumerate(saved))):
+            lo = c0 + i * growth
+            gy = gfeats[:, lo:lo + growth]
+            gz = _gelu_backward(gy if mask is None else gy * mask, z, cdf)
+            gx, gws[i], gbs[i] = _conv2d_backward(gz, ctx)
+            gfeats[:, :lo] += gx
+        return (*np.split(gfeats[:, :c0], np.cumsum(sizes)[:-1], axis=1), *gws, *gbs)
 
-    return _out("conv2d", (x, w, b), data, backward)
+    return _out("dense_block", (*inputs, *weights, *biases), feats, backward)
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:
@@ -615,19 +668,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return _out("layer_norm", (x, gamma, beta), data, backward)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero with probability p and scale survivors by 1/(1-p)
-    during training; exact identity at inference or p == 0."""
+def _dropout_mask(x: np.ndarray, p: float, training: bool, rng: Optional[np.random.Generator]):
+    """Inverted-dropout mask: 0 with probability p, else 1/(1-p); None where
+    dropout is the identity (inference or p == 0)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
     if not training or p == 0.0:
-        return x
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-    scale = 1.0 / (1.0 - p)
-    data = x.data * keep * scale
-    return _out("dropout", (x,), data, lambda g: (g * keep * scale,))
+    return (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
+
+
+def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout: zero with probability p and scale survivors by 1/(1-p)
+    during training; exact identity at inference or p == 0."""
+    mask = _dropout_mask(x.data, p, training, rng)
+    if mask is None:
+        return x
+    return _out("dropout", (x,), x.data * mask, lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------

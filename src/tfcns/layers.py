@@ -20,11 +20,14 @@ from .nn import Conv2d, ConvTranspose2d, LayerNorm, Linear, Module, embedding_in
 
 
 class DenseBlock(Module):
-    """Stack of 3x3 conv layers where layer i consumes the concatenation of
-    the block input and all previous layer outputs, and appends ``growth_rate``
-    channels. Output channels = in_channels + n_layers * growth_rate.
+    """Stack of 3x3 conv layers where layer i consumes the block input and all
+    previous layer outputs, and appends ``growth_rate`` channels. Output
+    channels = in_channels + n_layers * growth_rate.
 
     Each internal layer is conv3x3 -> GELU -> dropout, with no normalization.
+    It runs as one ``ad.dense_block`` op over a shared feature buffer, so no
+    layer concatenates; ``convs`` only hold the weights. The input may be a
+    list of maps (a decoder block takes the upsampled map and the gated skip).
     """
 
     def __init__(self, in_channels: int, growth_rate: int, n_layers: int,
@@ -42,13 +45,11 @@ class DenseBlock(Module):
     def out_channels(self) -> int:
         return self.in_channels + self.n_layers * self.growth_rate
 
-    def forward(self, x: Tensor, training: bool = False,
+    def forward(self, x, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
-        feats = x
-        for conv in self.convs:
-            new = ad.dropout(ad.gelu(conv(feats)), self.dropout_p, training, rng)
-            feats = ad.concat([feats, new], axis=1)
-        return feats
+        inputs = list(x) if isinstance(x, (list, tuple)) else [x]
+        return ad.dense_block(inputs, [conv.weight for conv in self.convs],
+                              [conv.bias for conv in self.convs], self.dropout_p, training, rng)
 
 
 class TransitionDown(Module):

@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .data import config_kinds, format_config_text, pack_array, parse_config_value, read_config_lines, unpack_array
 from .errors import ClassOutOfRange, ConfigInvalid, FormatError, ShapeMismatch, VersionError
@@ -142,8 +141,9 @@ def model_config_from_text(text: str) -> tuple[ModelConfig, dict]:
 
 class TFCNsModel(Module):
     """Encoder (stem + dense blocks + transition-downs), token transformer at
-    the bottleneck, decoder (transition-ups + gated skip concat + dense
-    blocks), and a 1x1 conv head producing B x num_classes x H x W logits."""
+    the bottleneck, decoder (transition-ups + skip gates + dense blocks that
+    take the upsampled map and the gated skip as two inputs), and a 1x1 conv
+    head producing B x num_classes x H x W logits."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         cfg.validate()
@@ -237,8 +237,7 @@ class TFCNsModel(Module):
             y = up(y)
             if gate is not None:
                 skip = gate(skip)
-            y = ad.concat([y, skip], axis=1)
-            y = block(y, training, rng)
+            y = block([y, skip], training, rng)
 
         features = y
         logits = self.head(y)

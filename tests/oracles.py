@@ -3,6 +3,7 @@ brute force, series expansions. These never share code paths with the
 library routines they verify."""
 
 import numpy as np
+from scipy.special import erf
 
 
 def erf_series(x: float, terms: int = 60) -> float:
@@ -116,3 +117,19 @@ def branch_features_direct(x: np.ndarray, branch_weights, eps: float):
         maps.append((m - mu) / np.sqrt(var + eps))
         means.append(mu[:, 0, 0])
     return np.stack(maps, axis=1), np.stack(means, axis=1)
+
+
+def dense_block_direct(inputs, weights, biases, dropout_p: float = 0.0, rng=None) -> np.ndarray:
+    """Dense block by its per-layer definition, in float64: each layer runs a
+    3x3, padding-1 ``conv2d_direct`` over the concatenation of the inputs and
+    every earlier layer output, then x * Phi(x) with scipy's erf, then (given
+    an rng) inverted dropout whose mask is drawn per layer in layer order, and
+    appends the result."""
+    feats = np.concatenate([np.asarray(x, dtype=np.float64) for x in inputs], axis=1)
+    for w, b in zip(weights, biases):
+        z = conv2d_direct(feats, w, b, padding=1)
+        y = z * 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+        if rng is not None:
+            y = np.where(rng.random(y.shape) >= dropout_p, y / (1.0 - dropout_p), 0.0)
+        feats = np.concatenate([feats, y], axis=1)
+    return feats

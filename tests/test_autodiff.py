@@ -12,7 +12,7 @@ import tfcns.autodiff as ad
 from tfcns.autodiff import Tape, Tensor, backward, grad_check, grad_check_tensors
 from tfcns.errors import DetachedTensor, NonFiniteValue, NotScalar, ShapeMismatch
 
-from oracles import conv2d_direct, conv_transpose2d_direct, erf_series
+from oracles import conv2d_direct, conv_transpose2d_direct, dense_block_direct, erf_series
 
 F64 = np.float64
 
@@ -164,6 +164,76 @@ class TestConvTranspose2d:
     def test_kernel_must_equal_stride(self, kernel, stride):
         with pytest.raises(ShapeMismatch):
             ad.conv_transpose2d(t64(np.zeros((1, 2, 3, 3))), t64(np.zeros((2, 1, kernel, kernel))), None, stride)
+
+
+def per_layer_chain(inputs, weights, biases, p, training, rng):
+    """A dense block as separate tape ops: each layer is conv2d -> gelu ->
+    dropout, and its output is concatenated onto everything before it."""
+    feats = inputs[0] if len(inputs) == 1 else ad.concat(inputs, axis=1)
+    for w, b in zip(weights, biases):
+        new = ad.dropout(ad.gelu(ad.conv2d(feats, w, b, 1, 1)), p, training, rng)
+        feats = ad.concat([feats, new], axis=1)
+    return feats
+
+
+class TestDenseBlock:
+    @staticmethod
+    def _case(rng, dtype, channels, growth=3, n_layers=3, bsz=2, h=5, w=6):
+        inputs = [Tensor(rng.standard_normal((bsz, c, h, w)), dtype=dtype) for c in channels]
+        c0 = sum(channels)
+        weights = [Tensor(0.3 * rng.standard_normal((growth, c0 + i * growth, 3, 3)), dtype=dtype)
+                   for i in range(n_layers)]
+        biases = [Tensor(rng.standard_normal(growth), dtype=dtype) for _ in range(n_layers)]
+        return inputs, weights, biases
+
+    @pytest.mark.parametrize("channels", [(4,), (3, 2)])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_forward_matches_direct_oracle(self, channels, p, rng):
+        inputs, weights, biases = self._case(rng, F64, channels)
+        out = ad.dense_block(inputs, weights, biases, p, True, np.random.default_rng(3))
+        expected = dense_block_direct([x.data for x in inputs], [w.data for w in weights],
+                                      [b.data for b in biases], p, np.random.default_rng(3) if p else None)
+        assert out.shape == (2, sum(channels) + 9, 5, 6)
+        assert np.allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [(4,), (3, 2)])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_bit_identical_to_per_layer_chain(self, dtype, channels, p, rng):
+        inputs, weights, biases = self._case(rng, dtype, channels)
+        tensors = inputs + weights + biases
+        probe = rng.standard_normal((2, sum(channels) + 9, 5, 6)).astype(dtype)
+        results = []
+        for op in (ad.dense_block, per_layer_chain):
+            with Tape() as tape:
+                for t in tensors:
+                    tape.watch(t)
+                out = op(inputs, weights, biases, p, True, np.random.default_rng(3))
+                backward(ad.mul(out, probe).sum())
+            results.append([out.data] + [t.grad for t in tensors])
+        for fused, chain in zip(*results):
+            assert fused.dtype == chain.dtype == dtype
+            assert np.array_equal(fused, chain)
+
+    def test_zero_layers_join_inputs(self, rng):
+        a, b = t64(rng.standard_normal((2, 2, 3, 3))), t64(rng.standard_normal((2, 1, 3, 3)))
+        probe = rng.standard_normal((2, 3, 3, 3))
+        with Tape() as tape:
+            tape.watch(a)
+            tape.watch(b)
+            out = ad.dense_block([a, b], [], [], 0.5, True, np.random.default_rng(0))
+            backward(ad.mul(out, probe).sum())
+        assert np.array_equal(out.data, np.concatenate([a.data, b.data], axis=1))
+        assert np.array_equal(a.grad, probe[:, :2]) and np.array_equal(b.grad, probe[:, 2:])
+
+    def test_rejects_mismatched_inputs_and_weights(self, rng):
+        inputs, weights, biases = self._case(rng, F64, (2, 1))
+        with pytest.raises(ShapeMismatch):
+            ad.dense_block([inputs[0], t64(np.zeros((2, 1, 4, 6)))], weights, biases, 0.0, False)
+        with pytest.raises(ShapeMismatch):
+            ad.dense_block(inputs[:1], weights, biases, 0.0, False)
+        with pytest.raises(ShapeMismatch):
+            ad.dense_block(inputs, [t64(np.zeros((3, 3, 1, 1)))], biases[:1], 0.0, False)
 
 
 class TestElementwise:

@@ -64,6 +64,23 @@ class TestDenseBlock:
         tensors = [x] + [p for p in blk.parameters()]
         assert grad_check_tensors(lambda: ad.mul(blk(x), w).sum(), tensors) < 1e-4
 
+    def test_two_input_grad_check_with_dropout(self, rng):
+        blk = L.DenseBlock(3, 2, 2, np.random.default_rng(0), dropout_p=0.2, dtype=F64)
+        a = t64(rng.standard_normal((1, 2, 5, 5)))
+        b = t64(rng.standard_normal((1, 1, 5, 5)))
+        w = rng.standard_normal((1, 7, 5, 5))
+        tensors = [a, b] + blk.parameters()
+        err = grad_check_tensors(lambda: ad.mul(blk([a, b], True, np.random.default_rng(4)), w).sum(), tensors)
+        assert err < 1e-4
+
+    def test_zero_layer_block_returns_inputs_joined(self, rng):
+        blk = L.DenseBlock(3, 2, 0, np.random.default_rng(0), dtype=F64)
+        a = t64(rng.standard_normal((2, 2, 4, 4)))
+        b = t64(rng.standard_normal((2, 1, 4, 4)))
+        assert blk.out_channels == 3 and blk.param_count() == 0
+        assert np.array_equal(blk([a, b]).data, np.concatenate([a.data, b.data], axis=1))
+        assert np.array_equal(blk(a).data, a.data)
+
 
 class TestTransitions:
     def test_down_halves_spatial(self, rng):

@@ -197,6 +197,18 @@ class TestForward:
         out_clab = clab_model.forward(x).data
         assert not np.allclose(out_none, out_clab)
 
+    def test_tape_has_one_dense_block_node_per_block_and_no_join_concat(self, rng):
+        model = build(tiny_model_config(dropout_p=0.1))
+        x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
+        with ad.Tape() as tape:
+            for p in model.parameters():
+                tape.watch(p)
+            model.forward(x, training=True, rng=np.random.default_rng(0))
+            ops = [node.op for node in tape.nodes]
+        assert ops.count("dense_block") == len(model.enc_blocks) + len(model.dec_blocks) == 6
+        # patch embedding prepends the class token; each gate joins its branch weights
+        assert ops.count("concat") == 1 + len(model.skip_gates)
+
 
 class TestDtypeContract:
     """Every op output and every gradient of a training step keeps the model's

@@ -182,6 +182,14 @@ class TestTrainLoop:
         for name, p in model.named_parameters():
             assert np.array_equal(p.data, before[name]), name
 
+    def test_zero_layer_stage_trains_one_step(self, quick_dataset):
+        model = build(tiny_model_config(num_classes=3, layers_per_block=(2, 0, 1), dropout_p=0.1))
+        log = train(model, quick_dataset, quick_train_cfg(max_iterations=1))
+        assert len(log.records) == 1 and np.isfinite(log.records[0].loss)
+        for name, p in model.named_parameters():
+            assert np.all(np.isfinite(p.grad)) and np.all(np.isfinite(p.data)), name
+        assert np.any(model.dec_blocks[0].convs[0].weight.grad)
+
     def test_fixed_seed_reproduces_loss_trajectory(self, quick_dataset):
         runs = []
         for _ in range(2):
