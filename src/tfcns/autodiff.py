@@ -177,24 +177,26 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteValue(f"{op} produced non-finite values")
 
 
+def _recorder(inputs: Sequence) -> Optional[tuple[Tape, tuple]]:
+    """(active tape, input ids) if any input is attached to the active tape, else None."""
+    tape = _active()
+    ids = tuple(t.tape_id if isinstance(t, Tensor) and t._tape is tape else None for t in inputs)
+    return (tape, ids) if tape is not None and any(i is not None for i in ids) else None
+
+
 def _out(op: str, inputs: Sequence, data: np.ndarray, backward) -> Tensor:
-    """Wrap an op result; record a tape node if any input is attached."""
+    """Wrap an op result; record a tape node if the active tape records it."""
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = _contig(data)
     out.grad = None
     out.tape_id = None
     out._tape = None
-    tape = _active()
-    if tape is not None:
-        ids = tuple(
-            t.tape_id if isinstance(t, Tensor) and t._tape is tape else None
-            for t in inputs
-        )
-        if any(i is not None for i in ids):
-            out._tape = tape
-            out.tape_id = tape._alloc()
-            tape.nodes.append(TapeNode(op, ids, out.tape_id, backward))
+    record = _recorder(inputs)
+    if record is not None:
+        tape, ids = record
+        out._tape, out.tape_id = tape, tape._alloc()
+        tape.nodes.append(TapeNode(op, ids, out.tape_id, backward))
     return out
 
 
@@ -543,8 +545,9 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
     B x (C0 + L*g) x H x W buffer F, and layer i writes dropout(gelu(conv3x3))
     of the channel-prefix view F[:, :C0 + i*g] into the next g channels.
     Backward walks the layers in reverse over one copy of the output gradient,
-    adding each layer's input gradient into its prefix in place. The tape keeps
-    F and each layer's conv output, GELU cdf and dropout mask."""
+    adding each layer's input gradient into its prefix in place. F and each
+    layer's conv output, GELU cdf and dropout mask are kept only when a tape
+    records the node; otherwise each layer's arrays are freed once it is done."""
     xs = [t.data for t in inputs]
     if any(x.ndim != 4 or x.shape[0] != xs[0].shape[0] or x.shape[2:] != xs[0].shape[2:] for x in xs):
         raise ShapeMismatch(f"dense_block inputs differ in batch or map size: {[x.shape for x in xs]}")
@@ -555,14 +558,17 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
         raise ShapeMismatch(f"dense_block layer weights {[w.shape for w in weights]} are not g x C x 3 x 3")
     feats = np.empty((xs[0].shape[0], c0 + len(weights) * growth, *xs[0].shape[2:]), np.result_type(*xs))
     np.concatenate(xs, axis=1, out=feats[:, :c0])
-    saved = []
+    operands = (*inputs, *weights, *biases)
+    saved = [] if _recorder(operands) is not None else None
     for i, (w, b) in enumerate(zip(weights, biases)):
         lo = c0 + i * growth
         z, ctx = _conv2d_forward(feats[:, :lo], w.data, None if b is None else b.data, 1, 1)
         y, cdf = _gelu_forward(z)
         mask = _dropout_mask(y, dropout_p, training, rng)
         feats[:, lo:lo + growth] = y if mask is None else y * mask
-        saved.append((ctx, z, cdf, mask))
+        if saved is not None:
+            saved.append((ctx, z, cdf, mask))
+        del z, cdf, y, mask  # untaped, this layer's arrays go before the next conv
 
     def backward(g):
         gfeats = g.copy()
@@ -575,7 +581,7 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
             gfeats[:, :lo] += gx
         return (*np.split(gfeats[:, :c0], np.cumsum(sizes)[:-1], axis=1), *gws, *gbs)
 
-    return _out("dense_block", (*inputs, *weights, *biases), feats, backward)
+    return _out("dense_block", operands, feats, backward)
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:

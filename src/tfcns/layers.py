@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
@@ -248,7 +249,9 @@ class _BranchGate(Module):
     K kernels each, reduced over their kernels to one map per branch and normalized per
     sample over the spatial extent. A spatial path (1x1 conv over the
     normalized maps) and a channel path (linear over the per-branch spatial means) feed
-    the sigmoid gating; the latest gate is kept on ``last_gate`` (treat it as read-only).
+    the sigmoid gating. A forward keeps only the gate's two factors, the B x 1 x H x W
+    spatial map and the B x C x 1 x 1 channel vector; ``last_gate`` builds the latest
+    B x C x H x W gate from them when read (None before any forward).
 
     The channel path pools each branch map before normalization: the
     normalized maps have exactly zero spatial mean by construction, so
@@ -269,7 +272,11 @@ class _BranchGate(Module):
         ]
         self.gate_linear = Linear(n_branches, in_channels, rng, dtype=dtype)
         self.gate_conv = Conv2d(n_branches, 1, 1, rng, dtype=dtype)
-        self.last_gate: Optional[np.ndarray] = None
+        self._factors: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def last_gate(self) -> Optional[np.ndarray]:
+        return None if self._factors is None else self._combine(*self._factors)
 
     def _branch_features(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """(normalized branch maps B x N x H x W, per-branch means B x N).
@@ -299,21 +306,26 @@ class CLAB(_BranchGate):
     """Convolutional linear attention gate: the spatial-path map and the
     channel-path vector are fused additively before one sigmoid, and the
     resulting gate (open interval (0,1)) multiplies the source input.
-    Output shape equals input shape."""
+    Output shape equals input shape. ``last_gate`` is built on read as
+    sigmoid(spatial + channel) from the two kept logit factors."""
+
+    _combine = staticmethod(lambda spatial, channel: expit(spatial + channel))
 
     def forward(self, x: Tensor) -> Tensor:
         xm, means = self._branch_features(x)
         spatial = self.gate_conv(xm)
         channel = self._channel_logits(means)
-        gate = ad.sigmoid(ad.add(spatial, channel))
-        self.last_gate = gate.data
-        return ad.mul(x, gate)
+        self._factors = (spatial.data, channel.data)
+        return ad.mul(x, ad.sigmoid(ad.add(spatial, channel)))
 
 
 class CUABLike(_BranchGate):
     """Ablation counterpart with the attention order reversed: a spatial
     sigmoid gate is applied first, then the channel gate is recomputed from
-    the already-gated features and applied on top."""
+    the already-gated features and applied on top. ``last_gate`` is built on
+    read as spatial_gate * channel_gate from the two kept gate factors."""
+
+    _combine = staticmethod(np.multiply)
 
     def forward(self, x: Tensor) -> Tensor:
         xm1, _ = self._branch_features(x)
@@ -321,5 +333,5 @@ class CUABLike(_BranchGate):
         x1 = ad.mul(x, spatial_gate)
         _, means = self._branch_features(x1)
         channel_gate = ad.sigmoid(self._channel_logits(means))
-        self.last_gate = spatial_gate.data * channel_gate.data
+        self._factors = (spatial_gate.data, channel_gate.data)
         return ad.mul(x1, channel_gate)

@@ -232,8 +232,8 @@ class TFCNsModel(Module):
         tokens = self.encoder(tokens, training, rng)
         y = tokens_to_map(tokens, hf, hf)
 
-        for i, (up, gate, block) in enumerate(zip(self.trans_up, self.skip_gates, self.dec_blocks)):
-            skip = skips[len(skips) - 1 - i]
+        for up, gate, block in zip(self.trans_up, self.skip_gates, self.dec_blocks):
+            skip = skips.pop()  # without a tape, the raw skip is freed once gated
             y = up(y)
             if gate is not None:
                 skip = gate(skip)
@@ -387,12 +387,18 @@ def restore_parameters(model: TFCNsModel, params: dict) -> None:
         p.data = np.array(arr, dtype=p.dtype, order="C")
 
 
+class _NoDraw:
+    """Generator stand-in for a model whose parameters are about to be
+    overwritten: every init draw is zeros, so no random numbers are drawn."""
+    standard_normal = staticmethod(np.zeros)
+
+
 def model_from_checkpoint(source) -> tuple[TFCNsModel, Checkpoint]:
     """Rebuild a model from a checkpoint path (or loaded Checkpoint); the
     restored model's forward pass is bit-identical to the saved one's."""
     ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
     dtype = next(iter(ckpt.params.values())).dtype if ckpt.params else np.float32
-    model = build(ckpt.config, dtype=np.dtype(dtype))
+    model = build(ckpt.config, rng=_NoDraw(), dtype=np.dtype(dtype))
     restore_parameters(model, ckpt.params)
     return model, ckpt
 

@@ -1,7 +1,9 @@
 """Tensor ops: forward semantics, error conditions, and finite-difference
 gradient checks for every differentiable op."""
 
+import contextlib
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -225,6 +227,25 @@ class TestDenseBlock:
             backward(ad.mul(out, probe).sum())
         assert np.array_equal(out.data, np.concatenate([a.data, b.data], axis=1))
         assert np.array_equal(a.grad, probe[:, :2]) and np.array_equal(b.grad, probe[:, 2:])
+
+    @pytest.mark.parametrize("p, training", [(0.0, False), (0.2, True)])
+    @pytest.mark.parametrize("under_tape", [False, True], ids=["no-tape", "tape-nothing-attached"])
+    def test_untaped_peak_is_buffer_plus_one_layer(self, p, training, under_tape, rng):
+        growth, hw = 4, 64 * 64
+        inputs, weights, biases = self._case(rng, F64, (8,), growth=growth, n_layers=6, bsz=1, h=64, w=64)
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            with tape if under_tape else contextlib.nullcontext():
+                out = ad.dense_block(inputs, weights, biases, p, training, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one layer: the kn2row per-tap outputs (9 g-channel maps), then the conv
+        # output, GELU cdf, GELU output and one temporary
+        layer = (9 + 4) * growth * hw * 8
+        assert peak < out.data.nbytes + layer
+        assert tape.nodes == [] and out._tape is None
 
     def test_rejects_mismatched_inputs_and_weights(self, rng):
         inputs, weights, biases = self._case(rng, F64, (2, 1))

@@ -2,6 +2,9 @@
 weights, attention invariants, gate behavior, parameter-count goldens, and
 per-block gradient checks."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -369,3 +372,43 @@ class TestCUABLike:
         w = rng.standard_normal((1, 4, 6, 6))
         tensors = [x] + [p for p in gate.parameters()]
         assert grad_check_tensors(lambda: ad.mul(gate(x), w).sum(), tensors) < 1e-4
+
+
+@pytest.mark.parametrize("cls", [L.CLAB, L.CUABLike])
+class TestLastGate:
+    # Digests taken before the gates kept only their two factors: building
+    # ``last_gate`` on read gives the same bits as keeping the full gate.
+    DIGESTS = {
+        ("CLAB", "float32"): "70380cbf116024f3cd5aca0f1c7bba454d6c86463ff939d88a1e6e5ca7f40ab7",
+        ("CLAB", "float64"): "5795a87a031854581804946a6709696a036c223d92f1df512b98769da6272911",
+        ("CUABLike", "float32"): "c7cbd043a4e82592d20825c8330998c4f4adaf012bc8a0ff92416ce641eb22d7",
+        ("CUABLike", "float64"): "4213f2bb80efea5cc945be4f99ab401175291286e3c9c53c5ba39722093c11f1",
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_golden_digest(self, cls, dtype):
+        gate = cls(6, 3, 2, np.random.default_rng(0), dtype=dtype)
+        gate(Tensor(np.random.default_rng(7).standard_normal((2, 6, 5, 7)), dtype=dtype))
+        g = gate.last_gate
+        assert g.shape == (2, 6, 5, 7) and g.dtype == dtype
+        assert hashlib.sha256(g.tobytes()).hexdigest() == self.DIGESTS[cls.__name__, np.dtype(dtype).name]
+
+    def test_none_before_first_forward(self, cls):
+        assert cls(4, 2, 3, np.random.default_rng(0), dtype=F64).last_gate is None
+
+    def test_two_reads_are_equal(self, cls, rng):
+        gate = cls(4, 2, 3, np.random.default_rng(0), dtype=F64)
+        gate(t64(rng.standard_normal((2, 4, 5, 5))))
+        assert np.array_equal(gate.last_gate, gate.last_gate)
+
+    def test_keeps_factors_not_the_full_gate(self, cls, rng):
+        gate = cls(16, 2, 3, np.random.default_rng(0), dtype=F64)
+        x = t64(rng.standard_normal((2, 16, 32, 32)))
+        tracemalloc.start()
+        try:
+            gate(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the B x 1 x H x W map and B x C x 1 x 1 vector, not B x C x H x W
+        assert held < x.data.nbytes / 4

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -197,6 +198,34 @@ class TestForward:
         out_clab = clab_model.forward(x).data
         assert not np.allclose(out_none, out_clab)
 
+    @pytest.mark.parametrize("gate", ["clab", "cuab_like"])
+    def test_untaped_forward_frees_each_raw_skip_once_gated(self, gate, rng):
+        model = build(tiny_model_config(skip_attention=gate))
+        skips, alive = [], []
+
+        def keep_ref(forward):
+            def run(*args):
+                out = forward(*args)
+                skips.append(weakref.ref(out.data))
+                return out
+            return run
+
+        def check_refs(forward):
+            def run(*args):
+                alive.append([ref() is not None for ref in skips])
+                return forward(*args)
+            return run
+
+        for block in model.enc_blocks:
+            block.forward = keep_ref(block.forward)
+        for block in model.dec_blocks:
+            block.forward = check_refs(block.forward)
+        model.forward(rng.standard_normal((1, 1, 16, 16)).astype(np.float32))
+        # decoder block i serves stage n-1-i: that skip and the deeper ones are
+        # already freed, the shallower ones are still waiting for their stage
+        n = len(skips)
+        assert alive == [[s < n - 1 - i for s in range(n)] for i in range(n)]
+
     def test_tape_has_one_dense_block_node_per_block_and_no_join_concat(self, rng):
         model = build(tiny_model_config(dropout_p=0.1))
         x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
@@ -357,6 +386,24 @@ class TestCheckpoint:
         save_checkpoint(model, None, path)
         restored, ckpt = model_from_checkpoint(path)
         assert isinstance(ckpt, Checkpoint)
+        assert np.array_equal(restored.forward(x).data, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_restore_draws_no_random_numbers(self, dtype, rng, tmp_path, monkeypatch):
+        model = build(small_model_config(skip_attention="cuab_like"), dtype=dtype)
+        x = rng.standard_normal((1, 1, 16, 16)).astype(dtype)
+        before = model.forward(x).data
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, None, path)
+
+        class NoGenerator:
+            def __getattr__(self, name):
+                raise AssertionError(f"model_from_checkpoint drew from a generator ({name})")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: NoGenerator())
+        restored, _ = model_from_checkpoint(path)
+        assert [(n, p.dtype) for n, p in restored.named_parameters()] == \
+            [(n, p.dtype) for n, p in model.named_parameters()]
         assert np.array_equal(restored.forward(x).data, before)
 
     def test_save_is_byte_deterministic(self, tmp_path):
