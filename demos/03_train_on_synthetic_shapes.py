@@ -31,6 +31,7 @@ print(f"model         : {model.param_count():,} parameters, {model.token_count} 
 
 cfg = TrainConfig(lr=0.02, batch_size=6, max_iterations=200, eval_every=50,
                   augment_rotate=False, augment_flip=False, seed=0)
+(out / "run" / "training.log").unlink(missing_ok=True)  # a rerun starts a fresh log
 log = train(model, pairs, cfg, out_dir=out / "run")
 for ev in log.evals:
     print(f"  iter {ev.iteration:4d}: dice {ev.dice:6.2f}  jaccard {ev.jaccard:6.2f}")

@@ -316,16 +316,20 @@ def _gelu_forward(x: np.ndarray):
     return x * cdf, cdf
 
 
-def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx = Phi(x) + x * phi(x); backward is g * slope."""
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return g * (cdf + x * pdf)
+    return cdf + x * pdf
 
 
 def gelu(a: Tensor) -> Tensor:
-    """x * Phi(x) with the exact Gaussian CDF (erf form, not the tanh fit)."""
-    x = a.data
-    data, cdf = _gelu_forward(x)
-    return _out("gelu", (a,), data, lambda g: (_gelu_backward(g, x, cdf),))
+    """x * Phi(x) with the exact Gaussian CDF (erf form, not the tanh fit).
+    When a tape records it, the node keeps only the slope, computed in the
+    forward; the input and the CDF are not kept."""
+    data, cdf = _gelu_forward(a.data)
+    slope = _gelu_slope(a.data, cdf) if _recorder((a,)) is not None else None
+    del cdf
+    return _out("gelu", (a,), data, lambda g: (g * slope,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -479,15 +483,36 @@ def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     return eff_h // stride + 1, eff_w // stride + 1
 
 
-def _conv_taps(h: int, w: int, kh: int, kw: int, ho: int, wo: int, stride: int, padding: int):
-    """(i, j, (out rows, in rows), (out cols, in cols)) per kernel tap, clipped to
-    the map (empty if the tap sees only padding): output r reads stride*r + i - padding."""
-    def axis(n: int, n_out: int, i: int):
-        lo = max(0, -((i - padding) // stride))
-        hi = max(lo, min(n_out, (n - 1 + padding - i) // stride + 1))
-        return slice(lo, hi), slice(stride * lo + i - padding, stride * hi + i - padding, stride)
+# Elements of one band's largest working array: its per-tap GEMM output,
+# per-tap gradient or input gradient (1 MB in float32).
+_BAND_ELEMS = 1 << 18
 
-    return [(i, j, axis(h, ho, i), axis(w, wo, j)) for i in range(kh) for j in range(kw)]
+
+def _conv_bands(xshape: tuple, kh: int, kw: int, o: int, ho: int, wo: int, stride: int, padding: int):
+    """Bands [(s0, s1, r0, r1, taps)] of a conv's input: samples [s0, s1)
+    whole where one sample fits, else one sample's input rows [r0, r1), so
+    that a band's largest working array (kh*kw*O per-tap channels or C
+    input-gradient channels over its pixels) stays within _BAND_ELEMS. Row
+    bands run top to bottom, samples in order within each. ``taps`` lists (i, j, (out rows, band rows), (out cols, in cols))
+    per kernel tap, clipped to the band (empty if the tap reads none of it):
+    output r reads input row stride*r + i - padding, and band rows count from r0."""
+    bsz, c, h, w = xshape
+
+    def axis(n_out: int, i: int, r0: int, r1: int):
+        lo = max(0, -((i - padding - r0) // stride))
+        hi = max(lo, min(n_out, -((i - padding - r1) // stride)))
+        return slice(lo, hi), slice(stride * lo + i - padding - r0, stride * hi + i - padding - r0, stride)
+
+    cols = [axis(wo, j, 0, w) for j in range(kw)]
+    row = max(kh * kw * o, c) * w
+    rows = max(1, min(h, _BAND_ELEMS // row))
+    group = max(1, _BAND_ELEMS // (row * h)) if rows == h else 1
+    bands = []
+    for r0 in range(0, h, rows):
+        r1 = min(h, r0 + rows)
+        taps = [(i, j, axis(ho, i, r0, r1), cols[j]) for i in range(kh) for j in range(kw)]
+        bands += [(s0, min(bsz, s0 + group), r0, r1, taps) for s0 in range(0, bsz, group)]
+    return bands
 
 
 def _conv2d_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], stride: int, padding: int):
@@ -502,38 +527,56 @@ def _conv2d_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], st
     if bd is not None and bd.shape != (o,):
         raise ShapeMismatch(f"conv2d bias shape {bd.shape}, expected ({o},)")
     ho, wo = _conv_geometry(h, width, kh, kw, stride, padding)
-    taps = _conv_taps(h, width, kh, kw, ho, wo, stride, padding)
+    bands = _conv_bands(xd.shape, kh, kw, o, ho, wo, stride, padding)
     x2 = xd.reshape(bsz, c, h * width)
     wt = wd.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
-    z = (wt @ x2).reshape(bsz, kh, kw, o, h, width)
-    data = np.zeros((bsz, o, ho, wo), z.dtype)
+    data = np.zeros((bsz, o, ho, wo), np.result_type(xd, wd))
     if bd is not None:  # start from the bias: adding it last rounds worse
         data += bd[:, None, None]
-    for i, j, (ro, ri), (co, ci) in taps:
-        data[:, :, ro, co] += z[:, i, j, :, ri, ci]
-    return data, (x2, wt, taps, xd.shape, (kh, kw, o), bd is not None)
+    # a sample's row bands run top to bottom and taps in (i, j) order within
+    # a band, so every output element still receives its taps in (i, j) order
+    for s0, s1, r0, r1, taps in bands:
+        z = (wt @ x2[s0:s1, :, r0 * width:r1 * width]).reshape(s1 - s0, kh, kw, o, r1 - r0, width)
+        for i, j, (ro, ri), (co, ci) in taps:
+            data[s0:s1, :, ro, co] += z[:, i, j, :, ri, ci]
+        del z
+    return data, (x2, wd, bands, xd.shape, bd is not None)
 
 
-def _conv2d_backward(g: np.ndarray, ctx):
-    """(gx, gw, gb) of ``_conv2d_forward``; gb is None for a bias-free conv."""
-    x2, wt, taps, xshape, (kh, kw, o), has_bias = ctx
-    bsz, c, h, width = xshape
-    gz = np.zeros((bsz, kh, kw, o, h, width), dtype=g.dtype)
-    for i, j, (ro, ri), (co, ci) in taps:
-        gz[:, i, j, :, ri, ci] = g[:, :, ro, co]
-    gz = gz.reshape(bsz, kh * kw * o, h * width)
-    gx = (wt.T @ gz).reshape(xshape)
-    gw = (gz @ x2.transpose(0, 2, 1)).sum(axis=0).reshape(kh, kw, o, c).transpose(2, 3, 0, 1)
+def _conv2d_backward(g: np.ndarray, ctx, gx: Optional[np.ndarray] = None):
+    """(gx, gw, gb) of ``_conv2d_forward``, one band at a time; gb
+    is None for a bias-free conv. Given ``gx`` (of the input's shape), the
+    input gradient is added into it in place instead of into a new array.
+    The weight gradient is summed sample by sample, in order, as one GEMM
+    over the batch would sum it; only where samples are split into row bands
+    is it summed band by band instead."""
+    x2, wd, bands, xshape, has_bias = ctx
+    c, width = xshape[1], xshape[3]
+    o, _, kh, kw = wd.shape
+    wt = wd.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+    if gx is None:
+        gx = np.zeros(xshape, np.result_type(g, wd))
+    gw = None
+    for s0, s1, r0, r1, taps in bands:
+        gz = np.zeros((s1 - s0, kh, kw, o, r1 - r0, width), dtype=g.dtype)
+        for i, j, (ro, ri), (co, ci) in taps:
+            gz[:, i, j, :, ri, ci] = g[s0:s1, :, ro, co]
+        gz = gz.reshape(s1 - s0, kh * kw * o, (r1 - r0) * width)
+        gx[s0:s1, :, r0:r1] += (wt.T @ gz).reshape(s1 - s0, c, r1 - r0, width)
+        for gw_sample in gz @ x2[s0:s1, :, r0 * width:r1 * width].transpose(0, 2, 1):
+            gw = gw_sample if gw is None else gw + gw_sample
+        del gz
     gb = g.sum(axis=(0, 2, 3)) if has_bias else None
-    return gx, gw, gb
+    return gx, gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1), gb
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of B x C x H x W input with O x C x kh x kw kernels,
-    as kn2row: one GEMM gives kh*kw*O per-tap outputs at every input pixel, and
-    each tap's window is added in at its offset. No padding or im2col columns
-    are built; the tape keeps x and w."""
+    as kn2row over bands of whole samples or of input rows: per band, one GEMM
+    gives kh*kw*O per-tap outputs at every pixel of the band, and each tap's
+    window is added in at its offset. No padding or im2col columns are built, and the per-tap
+    outputs and gradients never exceed one band; the tape keeps x and w."""
     data, ctx = _conv2d_forward(x.data, w.data, None if b is None else b.data, stride, padding)
     return _out("conv2d", (x, w, b), data, lambda g: _conv2d_backward(g, ctx))
 
@@ -545,9 +588,11 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
     B x (C0 + L*g) x H x W buffer F, and layer i writes dropout(gelu(conv3x3))
     of the channel-prefix view F[:, :C0 + i*g] into the next g channels.
     Backward walks the layers in reverse over one copy of the output gradient,
-    adding each layer's input gradient into its prefix in place. F and each
-    layer's conv output, GELU cdf and dropout mask are kept only when a tape
-    records the node; otherwise each layer's arrays are freed once it is done."""
+    adding each layer's input gradient into its prefix in place, band by band
+    (no full-size input gradient is built). When a tape records the node it
+    keeps F and, per layer, the GELU slope and the bool dropout keep mask:
+    (itemsize + 1) bytes per element of the layer's slot. Otherwise each
+    layer's arrays are freed once it is done."""
     xs = [t.data for t in inputs]
     if any(x.ndim != 4 or x.shape[0] != xs[0].shape[0] or x.shape[2:] != xs[0].shape[2:] for x in xs):
         raise ShapeMismatch(f"dense_block inputs differ in batch or map size: {[x.shape for x in xs]}")
@@ -564,21 +609,24 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
         lo = c0 + i * growth
         z, ctx = _conv2d_forward(feats[:, :lo], w.data, None if b is None else b.data, 1, 1)
         y, cdf = _gelu_forward(z)
-        mask = _dropout_mask(y, dropout_p, training, rng)
-        feats[:, lo:lo + growth] = y if mask is None else y * mask
+        keep = _dropout_keep(y, dropout_p, training, rng)
+        feats[:, lo:lo + growth] = y if keep is None else y * _dropout_scale(keep, dropout_p, y.dtype)
         if saved is not None:
-            saved.append((ctx, z, cdf, mask))
-        del z, cdf, y, mask  # untaped, this layer's arrays go before the next conv
+            saved.append((ctx, _gelu_slope(z, cdf), keep))
+        del z, cdf, y, keep  # this layer's working arrays go before the next conv
 
     def backward(g):
         gfeats = g.copy()
         gws, gbs = [None] * len(saved), [None] * len(saved)
-        for i, (ctx, z, cdf, mask) in reversed(list(enumerate(saved))):
+        while saved:  # popping frees each layer's slope and mask once used
+            ctx, slope, keep = saved.pop()
+            i = len(saved)
             lo = c0 + i * growth
-            gy = gfeats[:, lo:lo + growth]
-            gz = _gelu_backward(gy if mask is None else gy * mask, z, cdf)
-            gx, gws[i], gbs[i] = _conv2d_backward(gz, ctx)
-            gfeats[:, :lo] += gx
+            scale = 1.0 if keep is None else _dropout_scale(keep, dropout_p, g.dtype)
+            gz = gfeats[:, lo:lo + growth] * scale  # (g * mask) * slope, rounded as dropout then gelu
+            gz *= slope
+            del slope, keep, scale
+            _, gws[i], gbs[i] = _conv2d_backward(gz, ctx, gfeats[:, :lo])
         return (*np.split(gfeats[:, :c0], np.cumsum(sizes)[:-1], axis=1), *gws, *gbs)
 
     return _out("dense_block", operands, feats, backward)
@@ -674,25 +722,33 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return _out("layer_norm", (x, gamma, beta), data, backward)
 
 
-def _dropout_mask(x: np.ndarray, p: float, training: bool, rng: Optional[np.random.Generator]):
-    """Inverted-dropout mask: 0 with probability p, else 1/(1-p); None where
-    dropout is the identity (inference or p == 0)."""
+def _dropout_keep(x: np.ndarray, p: float, training: bool, rng: Optional[np.random.Generator]):
+    """Bool keep mask of inverted dropout, False with probability p; None
+    where dropout is the identity (inference or p == 0)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
     if not training or p == 0.0:
         return None
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    return (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
+    return rng.random(x.shape) >= p
+
+
+def _dropout_scale(keep: np.ndarray, p: float, dtype) -> np.ndarray:
+    """The multiplier of a keep mask: 0 where dropped, else 1/(1-p)."""
+    return keep.astype(dtype) * (1.0 / (1.0 - p))
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: zero with probability p and scale survivors by 1/(1-p)
-    during training; exact identity at inference or p == 0."""
-    mask = _dropout_mask(x.data, p, training, rng)
-    if mask is None:
+    during training; exact identity at inference or p == 0. The tape keeps
+    the bool keep mask and rebuilds the multiplier in backward."""
+    keep = _dropout_keep(x.data, p, training, rng)
+    if keep is None:
         return x
-    return _out("dropout", (x,), x.data * mask, lambda g: (g * mask,))
+    dtype = x.data.dtype
+    return _out("dropout", (x,), x.data * _dropout_scale(keep, p, dtype),
+                lambda g: (g * _dropout_scale(keep, p, dtype),))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +781,7 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[tid] = gin
     for leaf in tape._watched:
-        g = grads.get(leaf.tape_id)
+        g = grads.pop(leaf.tape_id, None)  # so a non-contiguous gradient goes once copied
         if g is None:
             leaf.grad = np.zeros_like(leaf.data)
         else:

@@ -36,7 +36,7 @@ from .model import (
     model_from_checkpoint,
     predict,
 )
-from .training import TrainConfig, ablation_grid, evaluate, run_ablation, train
+from .training import TrainConfig, ablation_grid, evaluate, refuse_existing_log, run_ablation, train
 
 _MODEL_KINDS = config_kinds(ModelConfig)
 _TRAIN_KINDS = config_kinds(TrainConfig)
@@ -183,6 +183,7 @@ def cmd_train(args) -> int:
     rc = _load_run_config(args)
     model_cfg, train_cfg = rc.model_config(), rc.train_config()
     out = _require_out_dir(rc)
+    refuse_existing_log(out)  # before the echo overwrites the earlier run's config
     pairs = _load_pairs(rc)
     _echo_config(rc, out)
     train(build(model_cfg), pairs, train_cfg, out_dir=out)

@@ -193,16 +193,27 @@ def total_iterations(cfg: TrainConfig, dataset_size: int) -> int:
     return cfg.epochs * steps_per_epoch
 
 
+def refuse_existing_log(out_dir) -> None:
+    """Raise ConfigInvalid if ``out_dir`` already holds a non-empty
+    training.log, so that a fresh run never appends to another run's log."""
+    log_path = Path(out_dir) / "training.log"
+    if log_path.is_file() and log_path.stat().st_size > 0:
+        raise ConfigInvalid(f"{log_path} already holds a training log; choose a new output directory")
+
+
 def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConfig,
           eval_dataset: Optional[Sequence[SegmentationPair]] = None,
           out_dir=None,
           callbacks: Optional[Sequence[Callable[[IterRecord], None]]] = None) -> TrainLog:
     """Run the optimization loop; returns the per-iteration log. With an
-    output directory, appends the line-delimited training log and writes
-    checkpoints at the end and at the best eval dice."""
+    output directory, writes the line-delimited training log and checkpoints
+    at the end and at the best eval dice; an output directory whose
+    training.log is not empty is refused."""
     cfg.validate()
     if not dataset:
         raise ConfigInvalid("training dataset is empty")
+    if out_dir is not None:
+        refuse_existing_log(out_dir)
     eval_pairs = eval_dataset if eval_dataset is not None else dataset
     num_classes = model.cfg.num_classes
     state = OptimizerState.for_model(model)

@@ -88,6 +88,26 @@ def conv2d_direct(x: np.ndarray, w: np.ndarray, b, stride: int = 1, padding: int
     return out
 
 
+def conv2d_grads_direct(x: np.ndarray, w: np.ndarray, g: np.ndarray, stride: int = 1, padding: int = 0):
+    """(gx, gw, gb) of ``conv2d_direct`` for output gradient ``g``, by the same
+    loops: each output pixel and tap sends g back to the input pixel it read
+    and to the weight tap that read it."""
+    bsz, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    _, _, ho, wo = g.shape
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for r in range(ho):
+        for s in range(wo):
+            for i in range(kh):
+                for j in range(kw):
+                    y, xx = r * stride + i - padding, s * stride + j - padding
+                    if 0 <= y < h and 0 <= xx < wd:
+                        gx[:, :, y, xx] += g[:, :, r, s] @ w[:, :, i, j]
+                        gw[:, :, i, j] += g[:, :, r, s].T @ x[:, :, y, xx]
+    return gx, gw, g.sum(axis=(0, 2, 3))
+
+
 def conv_transpose2d_direct(x: np.ndarray, w: np.ndarray, b, stride: int) -> np.ndarray:
     """Transposed convolution by explicit loops: every input pixel scatters its
     C-vector times each kernel tap into the output at stride * position + tap."""

@@ -14,7 +14,7 @@ import tfcns.autodiff as ad
 from tfcns.autodiff import Tape, Tensor, backward, grad_check, grad_check_tensors
 from tfcns.errors import DetachedTensor, NonFiniteValue, NotScalar, ShapeMismatch
 
-from oracles import conv2d_direct, conv_transpose2d_direct, dense_block_direct, erf_series
+from oracles import conv2d_direct, conv2d_grads_direct, conv_transpose2d_direct, dense_block_direct, erf_series
 
 F64 = np.float64
 
@@ -128,6 +128,70 @@ class TestConv2d:
         probe = rng.standard_normal(ad.conv2d(x, wt, b, stride, padding).shape)
         err = grad_check_tensors(lambda: ad.mul(ad.conv2d(x, wt, b, stride, padding), probe).sum(), [x, wt, b])
         assert err < 1e-5
+
+    @staticmethod
+    def band_elems(rows, kernel, out_channels, in_channels, width):
+        """A _BAND_ELEMS value that gives ``rows`` input rows per band."""
+        return rows * max(kernel * kernel * out_channels, in_channels) * width
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("bsz", [1, 3])
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_row_bands_match_direct_loops(self, rows, bsz, kernel, stride, padding, rng, monkeypatch):
+        x = rng.standard_normal((bsz, 3, 9, 5))
+        wt = rng.standard_normal((4, 3, kernel, kernel))
+        b = rng.standard_normal(4)
+        one_band = ad.conv2d(t64(x), t64(wt), t64(b), stride, padding).data
+        monkeypatch.setattr(ad, "_BAND_ELEMS", self.band_elems(rows, kernel, 4, 3, 5))
+        xt, wtt, bt = t64(x), t64(wt), t64(b)
+        with Tape() as tape:
+            for t in (xt, wtt, bt):
+                tape.watch(t)
+            out = ad.conv2d(xt, wtt, bt, stride, padding)
+            probe = rng.standard_normal(out.shape)
+            backward(ad.mul(out, probe).sum())
+        assert np.array_equal(out.data, one_band)  # taps still reach each output in (i, j) order
+        assert np.allclose(out.data, conv2d_direct(x, wt, b, stride, padding), rtol=0, atol=1e-12)
+        for got, want in zip((xt.grad, wtt.grad, bt.grad), conv2d_grads_direct(x, wt, probe, stride, padding)):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sample_bands_are_bit_identical_to_one_band(self, dtype, rng, monkeypatch):
+        x = Tensor(rng.standard_normal((5, 3, 6, 7)), dtype=dtype)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), dtype=dtype)
+        b = Tensor(rng.standard_normal(4), dtype=dtype)
+        probe = rng.standard_normal((5, 4, 6, 7)).astype(dtype)
+        results = []
+        for band_elems in (ad._BAND_ELEMS, 2 * 36 * 6 * 7):  # two whole samples per band
+            monkeypatch.setattr(ad, "_BAND_ELEMS", band_elems)
+            with Tape() as tape:
+                for t in (x, w, b):
+                    tape.watch(t)
+                out = ad.conv2d(x, w, b, 1, 1)
+                backward(ad.mul(out, probe).sum())
+            results.append([out.data, x.grad, w.grad, b.grad])
+        for one, banded in zip(*results):
+            assert np.array_equal(one, banded)
+
+    def test_backward_allocates_less_than_a_full_per_tap_gradient(self, rng):
+        c, o, hw = 16, 32, 128
+        x = rng.standard_normal((1, c, hw, hw)).astype(np.float32)
+        w = rng.standard_normal((o, c, 3, 3)).astype(np.float32)
+        g = rng.standard_normal((1, o, hw, hw)).astype(np.float32)
+        per_tap = 9 * o * hw * hw * 4  # the kn2row GEMM output of the whole map
+        tracemalloc.start()
+        try:
+            out, ctx = ad._conv2d_forward(x, w, None, 1, 1)
+            base, fwd_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            grads = ad._conv2d_backward(g, ctx)
+            bwd_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fwd_peak < out.nbytes + per_tap // 2
+        assert bwd_peak - base < sum(a.nbytes for a in grads if a is not None) + per_tap // 2
 
 
 class TestConvTranspose2d:
@@ -247,6 +311,49 @@ class TestDenseBlock:
         assert peak < out.data.nbytes + layer
         assert tape.nodes == [] and out._tape is None
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_several_bands_bit_identical_to_per_layer_chain(self, dtype, rng, monkeypatch):
+        inputs, weights, biases = self._case(rng, dtype, (3, 2), h=7)
+        tensors = inputs + weights + biases
+        probe = rng.standard_normal((2, 14, 7, 6)).astype(dtype)
+        results = []
+        for op, band_elems in ((ad.dense_block, ad._BAND_ELEMS), (ad.dense_block, 2 * 9 * 3 * 6),
+                               (per_layer_chain, 2 * 9 * 3 * 6)):
+            monkeypatch.setattr(ad, "_BAND_ELEMS", band_elems)  # two input rows per band
+            with Tape() as tape:
+                for t in tensors:
+                    tape.watch(t)
+                out = op(inputs, weights, biases, 0.3, True, np.random.default_rng(3))
+                backward(ad.mul(out, probe).sum())
+            results.append([out.data] + [t.grad for t in tensors])
+        one_band, fused, chain = results
+        for f, c in zip(fused, chain):
+            assert np.array_equal(f, c)
+        assert np.array_equal(fused[0], one_band[0])
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for f, o in zip(fused[1:], one_band[1:]):  # weight sums are reassociated across bands
+            assert np.allclose(f, o, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    def test_taped_keeps_buffer_plus_slope_and_mask_per_slot(self, dtype, p, rng):
+        growth, n_layers, hw = 4, 6, 64 * 64
+        inputs, weights, biases = self._case(rng, dtype, (8,), growth=growth, n_layers=n_layers,
+                                             bsz=1, h=64, w=64)
+        with Tape() as tape:
+            for t in inputs + weights + biases:
+                tape.watch(t)
+            tracemalloc.start()
+            try:
+                out = ad.dense_block(inputs, weights, biases, p, True, np.random.default_rng(3))
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        slot = growth * hw
+        # a few KB of Python objects (the node, the band lists) ride along
+        assert kept < out.data.nbytes + n_layers * slot * (np.dtype(dtype).itemsize + 1) + 64 * 1024
+        assert len(tape.nodes) == 1
+
     def test_rejects_mismatched_inputs_and_weights(self, rng):
         inputs, weights, biases = self._case(rng, F64, (2, 1))
         with pytest.raises(ShapeMismatch):
@@ -258,6 +365,23 @@ class TestDenseBlock:
 
 
 class TestElementwise:
+    def test_taped_gelu_keeps_one_array(self, rng):
+        w = Tensor(rng.standard_normal((4, 64, 64)))
+        with Tape() as tape:
+            tape.watch(w)
+            tracemalloc.start()
+            try:
+                x = ad.mul(w, 2.0)
+                y = ad.gelu(x)
+                nbytes = x.data.nbytes
+                del x  # freed unless the gelu node keeps its input
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        # the output plus the slope; the input and the CDF are gone
+        assert 2 * nbytes <= kept < 2.5 * nbytes
+        assert len(tape.nodes) == 2 and y.shape == w.shape
+
     def test_gelu_zero(self):
         assert ad.gelu(t64([0.0])).data[0] == 0.0
 
@@ -386,6 +510,18 @@ class TestDropout:
         assert abs(out.data.mean() - 1.0) < 0.02
         nonzero = out.data[out.data != 0]
         assert np.allclose(nonzero, 2.0)
+
+    def test_taped_dropout_keeps_a_bool_mask(self, rng):
+        x = t64(rng.standard_normal((4, 64, 64)))
+        with Tape() as tape:
+            tape.watch(x)
+            tracemalloc.start()
+            try:
+                y = ad.dropout(x, 0.3, True, np.random.default_rng(0))
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert kept < y.data.nbytes + 1.5 * x.size  # the output plus one byte per element
 
     def test_grad_through_fixed_mask(self, rng):
         x = t64(rng.standard_normal(40))

@@ -126,6 +126,17 @@ class TestTrainCommand:
         assert "seed = 3" in echoed
         assert (out / "last.ckpt").is_file()
 
+    def test_rerun_into_a_used_output_dir_is_exit_2_naming_the_log(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        flags = [*model_flags(dataset_dir, out), "--set", "max_iterations=2", "--set", "eval_every=0"]
+        assert main(["train", *flags]) == 0
+        log, echoed = (out / "training.log").read_bytes(), (out / "effective_config.txt").read_bytes()
+        capsys.readouterr()
+        assert main(["train", *flags, "--set", "lr=0.5"]) == 2
+        assert "training.log" in capsys.readouterr().err
+        assert (out / "training.log").read_bytes() == log
+        assert (out / "effective_config.txt").read_bytes() == echoed
+
 
 class TestEvalCommand:
     def test_overfit_checkpoint_scores_high(self, dataset_dir, trained_checkpoint, tmp_path, capsys):

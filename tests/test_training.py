@@ -198,6 +198,19 @@ class TestTrainLoop:
             runs.append([(r.loss, r.dice_loss, r.ce_loss) for r in log.records])
         assert runs[0] == runs[1]
 
+    def test_refuses_to_append_a_fresh_run_to_an_existing_log(self, quick_dataset, tmp_path):
+        cfg = quick_train_cfg(max_iterations=2)
+        train(build(small_model_config()), quick_dataset, cfg, out_dir=tmp_path)
+        before = (tmp_path / "training.log").read_bytes()
+        with pytest.raises(ConfigInvalid, match="training.log"):
+            train(build(small_model_config()), quick_dataset, cfg, out_dir=tmp_path)
+        assert (tmp_path / "training.log").read_bytes() == before
+
+    def test_empty_log_file_is_reused(self, quick_dataset, tmp_path):
+        (tmp_path / "training.log").touch()
+        train(build(small_model_config()), quick_dataset, quick_train_cfg(max_iterations=2), out_dir=tmp_path)
+        assert len((tmp_path / "training.log").read_text().splitlines()) == 2
+
     def test_log_file_format(self, quick_dataset, tmp_path):
         model = build(small_model_config())
         log = train(model, quick_dataset, quick_train_cfg(max_iterations=4, eval_every=2),
