@@ -68,46 +68,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 
-    # operator sugar; all routed through the op functions below
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
 
 class Parameter(Tensor):
     """A trainable tensor with a registry name (assigned when a model's
@@ -280,18 +240,6 @@ def div(a: Tensor, b) -> Tensor:
     return _out("div", (a, b), data, backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-    return _out("exp", (a,), data, lambda g: (g * data,))
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-    return _out("log", (a,), data, lambda g: (g / a.data,))
-
-
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
 
@@ -305,7 +253,9 @@ def sigmoid(a: Tensor) -> Tensor:
     data = expit(a.data)
 
     def backward(g):
-        return (g * data * (1.0 - data),)
+        t = g * data  # (g * s) * (1 - s), multiplied in place: 1 - s is the only temporary
+        t *= 1.0 - data
+        return (t,)
 
     return _out("sigmoid", (a,), data, backward)
 
@@ -406,17 +356,18 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _out("concat", tuple(tensors), data, backward)
 
 
+def _unreduce(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient broadcast back to its input ``shape``."""
+    if axis is not None and not keepdims:
+        axes = (axis,) if isinstance(axis, int) else tuple(axis)
+        g = np.expand_dims(g, tuple(ax % len(shape) for ax in axes))
+    return np.broadcast_to(g, shape)
+
+
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
     src_shape = a.data.shape
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            g = np.expand_dims(g, tuple(ax % len(src_shape) for ax in axes))
-        return (np.broadcast_to(g, src_shape),)
-
-    return _out("sum", (a,), data, backward)
+    return _out("sum", (a,), data, lambda g: (_unreduce(g, src_shape, axis, keepdims),))
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -425,14 +376,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     n = a.data.size if axis is None else int(
         np.prod([src_shape[ax % len(src_shape)] for ax in ((axis,) if isinstance(axis, int) else axis)])
     )
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            g = np.expand_dims(g, tuple(ax % len(src_shape) for ax in axes))
-        return (np.broadcast_to(g / n, src_shape),)
-
-    return _out("mean", (a,), data, backward)
+    return _out("mean", (a,), data, lambda g: (_unreduce(g / n, src_shape, axis, keepdims),))
 
 
 # ---------------------------------------------------------------------------
@@ -471,51 +415,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _out("matmul", (a, b), data, backward)
 
 
-def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
-    eff_h, eff_w = h + 2 * padding - kh, w + 2 * padding - kw
-    if eff_h < 0 or eff_w < 0:
-        raise ShapeMismatch(f"kernel {kh}x{kw} does not fit {h}x{w} input with padding {padding}")
-    if eff_h % stride or eff_w % stride:
-        raise ShapeMismatch(
-            f"conv geometry not exact: input {h}x{w}, kernel {kh}x{kw}, "
-            f"stride {stride}, padding {padding}"
-        )
-    return eff_h // stride + 1, eff_w // stride + 1
-
-
 # Elements of one band's largest working array: its per-tap GEMM output,
 # per-tap gradient or input gradient (1 MB in float32).
 _BAND_ELEMS = 1 << 18
 
 
-def _conv_bands(xshape: tuple, kh: int, kw: int, o: int, ho: int, wo: int, stride: int, padding: int):
-    """Bands [(s0, s1, r0, r1, taps)] of a conv's input: samples [s0, s1)
-    whole where one sample fits, else one sample's input rows [r0, r1), so
-    that a band's largest working array (kh*kw*O per-tap channels or C
-    input-gradient channels over its pixels) stays within _BAND_ELEMS. Row
-    bands run top to bottom, samples in order within each. ``taps`` lists (i, j, (out rows, band rows), (out cols, in cols))
-    per kernel tap, clipped to the band (empty if the tap reads none of it):
-    output r reads input row stride*r + i - padding, and band rows count from r0."""
+def _conv_bands(xshape: tuple, kh: int, kw: int, o: int):
+    """Bands [(s0, s1, r0, r1, taps)] of a "same" stride-1 conv's input:
+    samples [s0, s1) whole where one sample fits, else one sample's input
+    rows [r0, r1), so that a band's largest working array (kh*kw*O per-tap
+    channels or C input-gradient channels over its pixels) stays within
+    _BAND_ELEMS. Row bands run top to bottom, samples in order within each.
+    ``taps`` lists (i, j, (out rows, band rows), (out cols, in cols)) per
+    kernel tap, clipped to the band (empty if the tap reads none of it): tap
+    row i is the offset d = i - kh // 2, output row r reads input row r + d,
+    so its output rows are [max(0, r0 - d), min(h, r1 - d)); band rows count
+    from r0, and columns work the same way."""
     bsz, c, h, w = xshape
 
-    def axis(n_out: int, i: int, r0: int, r1: int):
-        lo = max(0, -((i - padding - r0) // stride))
-        hi = max(lo, min(n_out, -((i - padding - r1) // stride)))
-        return slice(lo, hi), slice(stride * lo + i - padding - r0, stride * hi + i - padding - r0, stride)
+    def axis(n: int, d: int, r0: int, r1: int):
+        lo = max(0, r0 - d)
+        hi = max(lo, min(n, r1 - d))
+        return slice(lo, hi), slice(lo + d - r0, hi + d - r0)
 
-    cols = [axis(wo, j, 0, w) for j in range(kw)]
+    cols = [axis(w, j - kw // 2, 0, w) for j in range(kw)]
     row = max(kh * kw * o, c) * w
     rows = max(1, min(h, _BAND_ELEMS // row))
     group = max(1, _BAND_ELEMS // (row * h)) if rows == h else 1
     bands = []
     for r0 in range(0, h, rows):
         r1 = min(h, r0 + rows)
-        taps = [(i, j, axis(ho, i, r0, r1), cols[j]) for i in range(kh) for j in range(kw)]
+        taps = [(i, j, axis(h, i - kh // 2, r0, r1), cols[j]) for i in range(kh) for j in range(kw)]
         bands += [(s0, min(bsz, s0 + group), r0, r1, taps) for s0 in range(0, bsz, group)]
     return bands
 
 
-def _conv2d_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], stride: int, padding: int):
+def _conv2d_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray]):
     """Array math of ``conv2d``: (output, context for ``_conv2d_backward``).
     ``xd`` may be a channel-prefix view of a larger buffer; it is not copied."""
     if xd.ndim != 4 or wd.ndim != 4:
@@ -524,13 +459,14 @@ def _conv2d_forward(xd: np.ndarray, wd: np.ndarray, bd: Optional[np.ndarray], st
     o, cw, kh, kw = wd.shape
     if cw != c:
         raise ShapeMismatch(f"conv2d channel mismatch: input {c}, weight {cw}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeMismatch(f"conv2d kernel {kh}x{kw} has an even side, so it has no centre tap")
     if bd is not None and bd.shape != (o,):
         raise ShapeMismatch(f"conv2d bias shape {bd.shape}, expected ({o},)")
-    ho, wo = _conv_geometry(h, width, kh, kw, stride, padding)
-    bands = _conv_bands(xd.shape, kh, kw, o, ho, wo, stride, padding)
+    bands = _conv_bands(xd.shape, kh, kw, o)
     x2 = xd.reshape(bsz, c, h * width)
     wt = wd.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
-    data = np.zeros((bsz, o, ho, wo), np.result_type(xd, wd))
+    data = np.zeros((bsz, o, h, width), np.result_type(xd, wd))
     if bd is not None:  # start from the bias: adding it last rounds worse
         data += bd[:, None, None]
     # a sample's row bands run top to bottom and taps in (i, j) order within
@@ -570,14 +506,15 @@ def _conv2d_backward(g: np.ndarray, ctx, gx: Optional[np.ndarray] = None):
     return gx, gw.reshape(kh, kw, o, c).transpose(2, 3, 0, 1), gb
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of B x C x H x W input with O x C x kh x kw kernels,
-    as kn2row over bands of whole samples or of input rows: per band, one GEMM
-    gives kh*kw*O per-tap outputs at every pixel of the band, and each tap's
-    window is added in at its offset. No padding or im2col columns are built, and the per-tap
-    outputs and gradients never exceed one band; the tape keeps x and w."""
-    data, ctx = _conv2d_forward(x.data, w.data, None if b is None else b.data, stride, padding)
+def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """2-D cross-correlation of B x C x H x W input with O x C x kh x kw
+    kernels of odd sides, stride 1 and "same": zero-padded by (kh // 2, kw // 2)
+    so the output keeps H x W. Runs as kn2row over bands of whole samples or of
+    input rows: per band, one GEMM gives kh*kw*O per-tap outputs at every
+    pixel of the band, and each tap's window is added in at its offset. No
+    padding or im2col columns are built, and the per-tap outputs and
+    gradients never exceed one band; the tape keeps x and w."""
+    data, ctx = _conv2d_forward(x.data, w.data, None if b is None else b.data)
     return _out("conv2d", (x, w, b), data, lambda g: _conv2d_backward(g, ctx))
 
 
@@ -607,7 +544,7 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
     saved = [] if _recorder(operands) is not None else None
     for i, (w, b) in enumerate(zip(weights, biases)):
         lo = c0 + i * growth
-        z, ctx = _conv2d_forward(feats[:, :lo], w.data, None if b is None else b.data, 1, 1)
+        z, ctx = _conv2d_forward(feats[:, :lo], w.data, None if b is None else b.data)
         y, cdf = _gelu_forward(z)
         keep = _dropout_keep(y, dropout_p, training, rng)
         feats[:, lo:lo + growth] = y if keep is None else y * _dropout_scale(keep, dropout_p, y.dtype)
@@ -632,10 +569,10 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
     return _out("dense_block", operands, feats, backward)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1) -> Tensor:
-    """Transposed convolution (adjoint of conv2d) with C x O x k x k kernels and
-    stride k, so windows never overlap: one GEMM gives every output pixel, and a
-    pixel shuffle lays the k*k taps out as an (H*k) x (W*k) map."""
+def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """Transposed convolution (adjoint of a strided conv) with square C x O x k x k
+    kernels and stride k, so windows never overlap: one GEMM gives every output
+    pixel, and a pixel shuffle lays the k*k taps out as an (H*k) x (W*k) map."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeMismatch(f"conv_transpose2d expects 4-d operands, got {xd.shape}, {wd.shape}")
@@ -643,8 +580,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: i
     cw, o, kh, kw = wd.shape
     if cw != c:
         raise ShapeMismatch(f"conv_transpose2d channel mismatch: input {c}, weight {cw}")
-    if kh != stride or kw != stride:
-        raise ShapeMismatch(f"conv_transpose2d needs kernel equal to stride, got {kh}x{kw} and {stride}")
+    if kh != kw:
+        raise ShapeMismatch(f"conv_transpose2d needs a square kernel, got {kh}x{kw}")
     if b is not None and b.data.shape != (o,):
         raise ShapeMismatch(f"conv_transpose2d bias shape {b.data.shape}, expected ({o},)")
     x2 = xd.reshape(bsz, c, h * width)

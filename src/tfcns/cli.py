@@ -156,7 +156,7 @@ def _echo_config(rc: RunConfig, out: Path) -> None:
 
 def _load_pairs(rc: RunConfig):
     dataset_dir = rc.path("dataset_dir")
-    if not dataset_dir or not Path(dataset_dir).is_dir():
+    if not dataset_dir:  # Path("") is the working directory
         raise DatasetError(f"dataset directory not found: {dataset_dir}")
     return load_dataset(dataset_dir)
 

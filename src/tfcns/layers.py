@@ -37,7 +37,7 @@ class DenseBlock(Module):
         self.growth_rate = growth_rate
         self.n_layers = n_layers
         self.convs = [
-            Conv2d(in_channels + i * growth_rate, growth_rate, 3, rng, padding=1, dtype=dtype)
+            Conv2d(in_channels + i * growth_rate, growth_rate, 3, rng, dtype=dtype)
             for i in range(n_layers)
         ]
         self.dropout_p = dropout_p
@@ -70,7 +70,7 @@ class TransitionUp(Module):
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, dtype=np.float32):
-        self.conv = ConvTranspose2d(in_channels, out_channels, 2, rng, stride=2, dtype=dtype)
+        self.conv = ConvTranspose2d(in_channels, out_channels, 2, rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.conv(x)

@@ -64,7 +64,7 @@ def dice_loss(logits: Tensor, target: np.ndarray, num_classes: int) -> Tensor:
         ad.add(ad.mul(inter, 2.0), DICE_SMOOTHING),
         ad.add(ad.add(psum, gsum), DICE_SMOOTHING),
     )
-    return 1.0 - ad.reduce_mean(dice)
+    return ad.add(ad.neg(ad.reduce_mean(dice)), 1.0)
 
 
 def cross_entropy_loss(logits: Tensor, target: np.ndarray) -> Tensor:

@@ -152,7 +152,7 @@ class TFCNsModel(Module):
         stages = cfg.n_stages
         layers = cfg.stage_layers()
 
-        self.stem = Conv2d(cfg.in_channels, cfg.first_conv_channels, 3, rng, padding=1, dtype=dtype)
+        self.stem = Conv2d(cfg.in_channels, cfg.first_conv_channels, 3, rng, dtype=dtype)
         self.enc_blocks = []
         self.trans_down = []
         self.skip_channels = []

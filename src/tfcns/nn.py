@@ -77,11 +77,8 @@ class Linear(Module):
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, padding: int = 0,
-                 dtype=np.float32, bias: bool = True):
+                 rng: np.random.Generator, dtype=np.float32, bias: bool = True):
         k = kernel_size
-        self.stride = stride
-        self.padding = padding
         self.weight = Parameter(
             he_normal(rng, (out_channels, in_channels, k, k), in_channels * k * k, dtype)
         )
@@ -91,21 +88,20 @@ class Conv2d(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return ad.conv2d(x, self.weight, self.bias)
 
 
 class ConvTranspose2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, dtype=np.float32):
+                 rng: np.random.Generator, dtype=np.float32):
         k = kernel_size
-        self.stride = stride
         self.weight = Parameter(
             he_normal(rng, (in_channels, out_channels, k, k), in_channels * k * k, dtype)
         )
         self.bias = Parameter(np.zeros(out_channels, dtype), no_decay=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.conv_transpose2d(x, self.weight, self.bias, self.stride)
+        return ad.conv_transpose2d(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

@@ -61,67 +61,67 @@ def test_criterion_01_gradient_correctness():
     b = t64(rng.standard_normal(3))
     wc = rng.standard_normal((1, 3, 5, 5))
     worst_op["conv2d"] = grad_check_tensors(
-        lambda: ad.mul(ad.conv2d(x, w, b, 1, 1), wc).sum(), [x, w, b])
+        lambda: ad.reduce_sum(ad.mul(ad.conv2d(x, w, b), wc)), [x, w, b])
 
     xt = t64(rng.standard_normal((1, 2, 3, 3)))
     wt = t64(rng.standard_normal((2, 3, 2, 2)))
     bt = t64(rng.standard_normal(3))
     wct = rng.standard_normal((1, 3, 6, 6))
     worst_op["conv_transpose2d"] = grad_check_tensors(
-        lambda: ad.mul(ad.conv_transpose2d(xt, wt, bt, 2), wct).sum(), [xt, wt, bt])
+        lambda: ad.reduce_sum(ad.mul(ad.conv_transpose2d(xt, wt, bt), wct)), [xt, wt, bt])
 
     a = t64(rng.standard_normal((4, 5)))
     wl = t64(rng.standard_normal((5, 3)))
     bl = t64(rng.standard_normal(3))
     wcl = rng.standard_normal((4, 3))
     worst_op["linear"] = grad_check_tensors(
-        lambda: ad.mul(ad.add(ad.matmul(a, wl), bl), wcl).sum(), [a, wl, bl])
+        lambda: ad.reduce_sum(ad.mul(ad.add(ad.matmul(a, wl), bl), wcl)), [a, wl, bl])
 
     z = t64(rng.standard_normal((3, 6)))
     gam = t64(rng.standard_normal(6))
     bet = t64(rng.standard_normal(6))
     wcz = rng.standard_normal((3, 6))
     worst_op["layer_norm"] = grad_check_tensors(
-        lambda: ad.mul(ad.layer_norm(z, gam, bet), wcz).sum(), [z, gam, bet])
+        lambda: ad.reduce_sum(ad.mul(ad.layer_norm(z, gam, bet), wcz)), [z, gam, bet])
 
     g = t64(rng.standard_normal(9))
     wg = rng.standard_normal(9)
-    worst_op["gelu"] = ad.grad_check(lambda t: ad.mul(ad.gelu(t), wg).sum(), g)
+    worst_op["gelu"] = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.gelu(t), wg)), g)
     s = t64(rng.standard_normal((3, 7)))
     ws = rng.standard_normal((3, 7))
-    worst_op["softmax"] = ad.grad_check(lambda t: ad.mul(ad.softmax(t, -1), ws).sum(), s)
+    worst_op["softmax"] = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t, -1), ws)), s)
 
     mhsa = L.MHSABlock(8, 2, np.random.default_rng(0), dtype=F64)
     zz = t64(rng.standard_normal((1, 3, 8)))
     wz = rng.standard_normal((1, 3, 8))
     worst_op["mhsa"] = grad_check_tensors(
-        lambda: ad.mul(mhsa(zz), wz).sum(), block_tensors(mhsa, zz))
+        lambda: ad.reduce_sum(ad.mul(mhsa(zz), wz)), block_tensors(mhsa, zz))
 
     resmlp = L.ResMLPBlock(8, 10, np.random.default_rng(0), dtype=F64)
     worst_op["resmlp"] = grad_check_tensors(
-        lambda: ad.mul(resmlp(zz), wz).sum(), block_tensors(resmlp, zz))
+        lambda: ad.reduce_sum(ad.mul(resmlp(zz), wz)), block_tensors(resmlp, zz))
 
     dense = L.DenseBlock(2, 2, 2, np.random.default_rng(0), dtype=F64)
     xd = t64(rng.standard_normal((1, 2, 8, 8)))
     wd = rng.standard_normal((1, 6, 8, 8))
     worst_op["dense_block"] = grad_check_tensors(
-        lambda: ad.mul(dense(xd), wd).sum(), block_tensors(dense, xd))
+        lambda: ad.reduce_sum(ad.mul(dense(xd), wd)), block_tensors(dense, xd))
 
     td = L.TransitionDown(2, 3, np.random.default_rng(0), dtype=F64)
     xtd = t64(rng.standard_normal((1, 2, 4, 4)))
     wtd = rng.standard_normal((1, 3, 2, 2))
     worst_op["transition_down"] = grad_check_tensors(
-        lambda: ad.mul(td(xtd), wtd).sum(), block_tensors(td, xtd))
+        lambda: ad.reduce_sum(ad.mul(td(xtd), wtd)), block_tensors(td, xtd))
     tu = L.TransitionUp(2, 3, np.random.default_rng(0), dtype=F64)
     wtu = rng.standard_normal((1, 3, 8, 8))
     worst_op["transition_up"] = grad_check_tensors(
-        lambda: ad.mul(tu(xtd), wtu).sum(), block_tensors(tu, xtd))
+        lambda: ad.reduce_sum(ad.mul(tu(xtd), wtu)), block_tensors(tu, xtd))
 
     clab = L.CLAB(4, 2, 3, np.random.default_rng(0), dtype=F64)
     xc = t64(rng.standard_normal((1, 4, 6, 6)))
     wcc = rng.standard_normal((1, 4, 6, 6))
     worst_op["clab"] = grad_check_tensors(
-        lambda: ad.mul(clab(xc), wcc).sum(), block_tensors(clab, xc))
+        lambda: ad.reduce_sum(ad.mul(clab(xc), wcc)), block_tensors(clab, xc))
 
     target = rng.integers(0, 3, size=(1, 4, 4))
     logits = Tensor(rng.standard_normal((1, 3, 4, 4)), dtype=F64)
@@ -138,7 +138,7 @@ def test_criterion_01_gradient_correctness():
     model = build(tiny_model_config(), dtype=F64)
     xin = t64(rng.standard_normal((1, 1, 16, 16)))
     end_to_end = grad_check_tensors(
-        lambda: model.forward(xin).mean(), [p for p in model.parameters()])
+        lambda: ad.reduce_mean(model.forward(xin)), [p for p in model.parameters()])
     assert end_to_end < 1e-3, f"end-to-end: {end_to_end:.3e}"
 
     elapsed = time.time() - start
@@ -219,7 +219,7 @@ def test_criterion_04_clab_properties():
 
     wcc = rng.standard_normal((1, 4, 6, 6))
     xs = t64(rng.standard_normal((1, 4, 6, 6)))
-    err = grad_check_tensors(lambda: ad.mul(gate(xs), wcc).sum(), block_tensors(gate, xs))
+    err = grad_check_tensors(lambda: ad.reduce_sum(ad.mul(gate(xs), wcc)), block_tensors(gate, xs))
     assert err < 1e-4
     report(4, f"shape preserved, gates in (0,1), zero-weight gate = 0.5*x exactly, "
               f"grad check {err:.2e} (< 1e-4)")

@@ -41,17 +41,17 @@ class TestMatmul:
     def test_grad_vs_finite_differences(self, rng):
         b = t64(rng.standard_normal((5, 3)))
         x = t64(rng.standard_normal((4, 5)))
-        assert grad_check(lambda t: ad.matmul(t, b).sum(), x) < 1e-6
+        assert grad_check(lambda t: ad.reduce_sum(ad.matmul(t, b)), x) < 1e-6
         a = t64(rng.standard_normal((4, 5)))
         y = t64(rng.standard_normal((5, 3)))
-        assert grad_check(lambda t: ad.matmul(a, t).sum(), y) < 1e-6
+        assert grad_check(lambda t: ad.reduce_sum(ad.matmul(a, t)), y) < 1e-6
 
     def test_batched_grad(self, rng):
         a = t64(rng.standard_normal((2, 3, 4)))
         b = t64(rng.standard_normal((2, 4, 3)))
         w = rng.standard_normal((2, 3, 3))
-        assert grad_check(lambda t: ad.mul(ad.matmul(t, b), w).sum(), a) < 1e-6
-        assert grad_check(lambda t: ad.mul(ad.matmul(a, t), w).sum(), b) < 1e-6
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.matmul(t, b), w)), a) < 1e-6
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.matmul(a, t), w)), b) < 1e-6
 
 
 class TestConv2d:
@@ -66,67 +66,59 @@ class TestConv2d:
         x = t64(rng.standard_normal((1, 3, 5, 5)))
         w = t64(np.zeros((2, 3, 3, 3)))
         b = t64([0.5, -1.5])
-        out = ad.conv2d(x, w, b, padding=1)
+        out = ad.conv2d(x, w, b)
         assert np.allclose(out.data[:, 0], 0.5) and np.allclose(out.data[:, 1], -1.5)
 
     def test_output_geometry(self):
-        x = t64(np.zeros((1, 1, 8, 8)))
-        w = t64(np.zeros((1, 1, 3, 3)))
-        b = t64(np.zeros(1))
-        assert ad.conv2d(x, w, b, stride=1, padding=1).shape == (1, 1, 8, 8)
+        x = t64(np.zeros((1, 1, 8, 6)))
+        for k in (1, 3, 5):
+            assert ad.conv2d(x, t64(np.zeros((2, 1, k, k))), t64(np.zeros(2))).shape == (1, 2, 8, 6)
+
+    @pytest.mark.parametrize("kh,kw", [(2, 2), (3, 2)])
+    def test_rejects_an_even_kernel_side(self, kh, kw):
         with pytest.raises(ShapeMismatch):
-            ad.conv2d(x, w, b, stride=2, padding=0)  # (8-3) not divisible by 2
+            ad.conv2d(t64(np.zeros((1, 1, 8, 8))), t64(np.zeros((1, 1, kh, kw))))
 
     def test_grads_vs_finite_differences(self, rng):
         x = t64(rng.standard_normal((1, 1, 5, 5)))
         w = t64(rng.standard_normal((2, 1, 3, 3)))
         b = t64(rng.standard_normal(2))
         wc = rng.standard_normal((1, 2, 5, 5))
-        err = grad_check_tensors(lambda: ad.mul(ad.conv2d(x, w, b, 1, 1), wc).sum(), [x, w, b])
+        err = grad_check_tensors(lambda: ad.reduce_sum(ad.mul(ad.conv2d(x, w, b), wc)), [x, w, b])
         assert err < 1e-5
 
-    def test_strided_grads(self, rng):
-        x = t64(rng.standard_normal((2, 2, 6, 6)))
-        w = t64(rng.standard_normal((3, 2, 2, 2)))
-        b = t64(rng.standard_normal(3))
-        wc = rng.standard_normal((2, 3, 3, 3))
-        err = grad_check_tensors(lambda: ad.mul(ad.conv2d(x, w, b, 2, 0), wc).sum(), [x, w, b])
-        assert err < 1e-5
-
-    # (B, C, H, W), (O, kh, kw), stride, padding
+    # (B, C, H, W), (O, kh, kw); the oracle pads by kh // 2, as conv2d does
     ORACLE_CASES = {
-        "dense_layer": ((2, 20, 6, 6), (8, 3, 3), 1, 1),
-        "stem": ((2, 1, 7, 7), (24, 3, 3), 1, 1),
-        "one_by_one": ((2, 5, 4, 4), (3, 1, 1), 1, 0),
-        "2x2_stride2": ((2, 3, 6, 6), (4, 2, 2), 2, 0),
-        "3x3_stride2_pad1": ((1, 3, 7, 7), (4, 3, 3), 2, 1),
-        "non_square": ((2, 3, 5, 8), (4, 3, 3), 1, 1),
-        "kernel_covers_padded_map": ((1, 2, 3, 4), (2, 5, 6), 1, 1),
+        "dense_layer": ((2, 20, 6, 6), (8, 3, 3)),
+        "stem": ((2, 1, 7, 7), (24, 3, 3)),
+        "one_by_one": ((2, 5, 4, 4), (3, 1, 1)),
+        "non_square": ((2, 3, 5, 8), (4, 3, 3)),
+        "kernel_larger_than_map": ((1, 2, 3, 4), (2, 5, 5)),
     }
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_forward_matches_direct_loops(self, case, rng):
-        (bsz, c, h, w), (o, kh, kw), stride, padding = self.ORACLE_CASES[case]
+        (bsz, c, h, w), (o, kh, kw) = self.ORACLE_CASES[case]
         x = rng.standard_normal((bsz, c, h, w))
         wt = rng.standard_normal((o, c, kh, kw))
         b = rng.standard_normal(o)
-        out = ad.conv2d(t64(x), t64(wt), t64(b), stride, padding).data
-        assert np.allclose(out, conv2d_direct(x, wt, b, stride, padding), rtol=0, atol=1e-12)
+        out = ad.conv2d(t64(x), t64(wt), t64(b)).data
+        assert np.allclose(out, conv2d_direct(x, wt, b, padding=kh // 2), rtol=0, atol=1e-12)
         x, wt, b = (a.astype(np.float32) for a in (x, wt, b))
-        out = ad.conv2d(Tensor(x), Tensor(wt), Tensor(b), stride, padding).data
+        out = ad.conv2d(Tensor(x), Tensor(wt), Tensor(b)).data
         # float32 rounding scales with the summed magnitudes, not with the result
-        scale = conv2d_direct(np.abs(x), np.abs(wt), np.abs(b), stride, padding)
+        scale = conv2d_direct(np.abs(x), np.abs(wt), np.abs(b), padding=kh // 2)
         assert out.dtype == np.float32
-        assert np.all(np.abs(out - conv2d_direct(x, wt, b, stride, padding)) <= 1e-5 * scale)
+        assert np.all(np.abs(out - conv2d_direct(x, wt, b, padding=kh // 2)) <= 1e-5 * scale)
 
-    @pytest.mark.parametrize("case", ["3x3_stride2_pad1", "non_square"])
+    @pytest.mark.parametrize("case", ["kernel_larger_than_map", "non_square"])
     def test_grads_match_finite_differences_on_oracle_cases(self, case, rng):
-        (bsz, c, h, w), (o, kh, kw), stride, padding = self.ORACLE_CASES[case]
+        (bsz, c, h, w), (o, kh, kw) = self.ORACLE_CASES[case]
         x = t64(rng.standard_normal((bsz, c, h, w)))
         wt = t64(rng.standard_normal((o, c, kh, kw)))
         b = t64(rng.standard_normal(o))
-        probe = rng.standard_normal(ad.conv2d(x, wt, b, stride, padding).shape)
-        err = grad_check_tensors(lambda: ad.mul(ad.conv2d(x, wt, b, stride, padding), probe).sum(), [x, wt, b])
+        probe = rng.standard_normal((bsz, o, h, w))
+        err = grad_check_tensors(lambda: ad.reduce_sum(ad.mul(ad.conv2d(x, wt, b), probe)), [x, wt, b])
         assert err < 1e-5
 
     @staticmethod
@@ -136,25 +128,25 @@ class TestConv2d:
 
     @pytest.mark.parametrize("rows", [1, 2])
     @pytest.mark.parametrize("bsz", [1, 3])
-    @pytest.mark.parametrize("kernel", [1, 3])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_row_bands_match_direct_loops(self, rows, bsz, kernel, stride, padding, rng, monkeypatch):
+    @pytest.mark.parametrize("padding, stride, kernel", [(0, 1, 1), (1, 1, 3), (2, 1, 5)])
+    def test_row_bands_match_direct_loops(self, rows, bsz, padding, stride, kernel, rng, monkeypatch):
+        """conv2d is the loop oracle's "same" geometry: padding k // 2, stride 1."""
         x = rng.standard_normal((bsz, 3, 9, 5))
         wt = rng.standard_normal((4, 3, kernel, kernel))
         b = rng.standard_normal(4)
-        one_band = ad.conv2d(t64(x), t64(wt), t64(b), stride, padding).data
+        one_band = ad.conv2d(t64(x), t64(wt), t64(b)).data
         monkeypatch.setattr(ad, "_BAND_ELEMS", self.band_elems(rows, kernel, 4, 3, 5))
         xt, wtt, bt = t64(x), t64(wt), t64(b)
         with Tape() as tape:
             for t in (xt, wtt, bt):
                 tape.watch(t)
-            out = ad.conv2d(xt, wtt, bt, stride, padding)
+            out = ad.conv2d(xt, wtt, bt)
             probe = rng.standard_normal(out.shape)
-            backward(ad.mul(out, probe).sum())
+            backward(ad.reduce_sum(ad.mul(out, probe)))
         assert np.array_equal(out.data, one_band)  # taps still reach each output in (i, j) order
         assert np.allclose(out.data, conv2d_direct(x, wt, b, stride, padding), rtol=0, atol=1e-12)
-        for got, want in zip((xt.grad, wtt.grad, bt.grad), conv2d_grads_direct(x, wt, probe, stride, padding)):
+        grads = conv2d_grads_direct(x, wt, probe, stride, padding)
+        for got, want in zip((xt.grad, wtt.grad, bt.grad), grads):
             assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -169,8 +161,8 @@ class TestConv2d:
             with Tape() as tape:
                 for t in (x, w, b):
                     tape.watch(t)
-                out = ad.conv2d(x, w, b, 1, 1)
-                backward(ad.mul(out, probe).sum())
+                out = ad.conv2d(x, w, b)
+                backward(ad.reduce_sum(ad.mul(out, probe)))
             results.append([out.data, x.grad, w.grad, b.grad])
         for one, banded in zip(*results):
             assert np.array_equal(one, banded)
@@ -183,7 +175,7 @@ class TestConv2d:
         per_tap = 9 * o * hw * hw * 4  # the kn2row GEMM output of the whole map
         tracemalloc.start()
         try:
-            out, ctx = ad._conv2d_forward(x, w, None, 1, 1)
+            out, ctx = ad._conv2d_forward(x, w, None)
             base, fwd_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             grads = ad._conv2d_backward(g, ctx)
@@ -199,7 +191,7 @@ class TestConvTranspose2d:
         x = t64(np.full((1, 1, 1, 1), 3.25))
         w = t64(np.ones((1, 1, 2, 2)))
         b = t64(np.zeros(1))
-        out = ad.conv_transpose2d(x, w, b, stride=2)
+        out = ad.conv_transpose2d(x, w, b)
         assert out.shape == (1, 1, 2, 2)
         assert np.array_equal(out.data, np.full((1, 1, 2, 2), 3.25))
 
@@ -207,7 +199,7 @@ class TestConvTranspose2d:
         x = t64(np.zeros((1, 2, 3, 3)))
         w = t64(np.ones((2, 1, 2, 2)))
         b = t64([0.75])
-        out = ad.conv_transpose2d(x, w, b, stride=2)
+        out = ad.conv_transpose2d(x, w, b)
         assert np.allclose(out.data, 0.75)
 
     def test_grads_vs_finite_differences(self, rng):
@@ -215,21 +207,27 @@ class TestConvTranspose2d:
         w = t64(rng.standard_normal((2, 3, 2, 2)))
         b = t64(rng.standard_normal(3))
         wc = rng.standard_normal((1, 3, 6, 6))
-        err = grad_check_tensors(lambda: ad.mul(ad.conv_transpose2d(x, w, b, 2), wc).sum(), [x, w, b])
+        err = grad_check_tensors(lambda: ad.reduce_sum(ad.mul(ad.conv_transpose2d(x, w, b), wc)), [x, w, b])
         assert err < 1e-5
 
     def test_forward_matches_direct_loops(self, rng):
         x = rng.standard_normal((2, 5, 4, 6))
         w = rng.standard_normal((5, 3, 2, 2))
         b = rng.standard_normal(3)
-        out = ad.conv_transpose2d(t64(x), t64(w), t64(b), stride=2)
+        out = ad.conv_transpose2d(t64(x), t64(w), t64(b))
         assert out.shape == (2, 3, 8, 12)
         assert np.allclose(out.data, conv_transpose2d_direct(x, w, b, 2), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kernel,stride", [(3, 2), (2, 1)])
-    def test_kernel_must_equal_stride(self, kernel, stride):
+    def test_stride_is_the_kernel_side(self, rng):
+        x = rng.standard_normal((1, 2, 2, 3))
+        w = rng.standard_normal((2, 3, 3, 3))
+        out = ad.conv_transpose2d(t64(x), t64(w))
+        assert out.shape == (1, 3, 6, 9)
+        assert np.allclose(out.data, conv_transpose2d_direct(x, w, None, 3), rtol=0, atol=1e-12)
+
+    def test_rejects_a_non_square_kernel(self):
         with pytest.raises(ShapeMismatch):
-            ad.conv_transpose2d(t64(np.zeros((1, 2, 3, 3))), t64(np.zeros((2, 1, kernel, kernel))), None, stride)
+            ad.conv_transpose2d(t64(np.zeros((1, 2, 3, 3))), t64(np.zeros((2, 1, 2, 3))))
 
 
 def per_layer_chain(inputs, weights, biases, p, training, rng):
@@ -237,7 +235,7 @@ def per_layer_chain(inputs, weights, biases, p, training, rng):
     dropout, and its output is concatenated onto everything before it."""
     feats = inputs[0] if len(inputs) == 1 else ad.concat(inputs, axis=1)
     for w, b in zip(weights, biases):
-        new = ad.dropout(ad.gelu(ad.conv2d(feats, w, b, 1, 1)), p, training, rng)
+        new = ad.dropout(ad.gelu(ad.conv2d(feats, w, b)), p, training, rng)
         feats = ad.concat([feats, new], axis=1)
     return feats
 
@@ -275,7 +273,7 @@ class TestDenseBlock:
                 for t in tensors:
                     tape.watch(t)
                 out = op(inputs, weights, biases, p, True, np.random.default_rng(3))
-                backward(ad.mul(out, probe).sum())
+                backward(ad.reduce_sum(ad.mul(out, probe)))
             results.append([out.data] + [t.grad for t in tensors])
         for fused, chain in zip(*results):
             assert fused.dtype == chain.dtype == dtype
@@ -288,7 +286,7 @@ class TestDenseBlock:
             tape.watch(a)
             tape.watch(b)
             out = ad.dense_block([a, b], [], [], 0.5, True, np.random.default_rng(0))
-            backward(ad.mul(out, probe).sum())
+            backward(ad.reduce_sum(ad.mul(out, probe)))
         assert np.array_equal(out.data, np.concatenate([a.data, b.data], axis=1))
         assert np.array_equal(a.grad, probe[:, :2]) and np.array_equal(b.grad, probe[:, 2:])
 
@@ -324,7 +322,7 @@ class TestDenseBlock:
                 for t in tensors:
                     tape.watch(t)
                 out = op(inputs, weights, biases, 0.3, True, np.random.default_rng(3))
-                backward(ad.mul(out, probe).sum())
+                backward(ad.reduce_sum(ad.mul(out, probe)))
             results.append([out.data] + [t.grad for t in tensors])
         one_band, fused, chain = results
         for f, c in zip(fused, chain):
@@ -395,13 +393,13 @@ class TestElementwise:
     def test_gelu_grad(self, rng):
         x = t64(rng.standard_normal(11))
         w = rng.standard_normal(11)
-        assert grad_check(lambda t: ad.mul(ad.gelu(t), w).sum(), x) < 1e-5
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.gelu(t), w)), x) < 1e-5
 
     def test_sigmoid_center_and_grad(self, rng):
         assert ad.sigmoid(t64([0.0])).data[0] == 0.5
         x = t64(rng.standard_normal(9))
         w = rng.standard_normal(9)
-        assert grad_check(lambda t: ad.mul(ad.sigmoid(t), w).sum(), x) < 1e-5
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.sigmoid(t), w)), x) < 1e-5
 
     def test_sigmoid_saturation_is_finite(self):
         out = ad.sigmoid(t64([-500.0, 500.0]))
@@ -415,25 +413,41 @@ class TestElementwise:
         assert out.dtype == dtype
         assert np.array_equal(out.data, [0.0, 0.5, 1.0])
 
+    def test_sigmoid_backward_allocates_two_maps(self, rng):
+        x = Tensor(rng.standard_normal((1, 72, 224, 224)), dtype=np.float32)  # the last skip gate at 224x224
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        with Tape() as tape:
+            tape.watch(x)
+            ad.sigmoid(x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            (gx,) = tape.nodes[-1].backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the gradient plus one temporary (1 - s)
+        assert peak - base <= 2 * gx.nbytes + 64 * 1024
+
     @pytest.mark.parametrize("op,wshape", [
-        (ad.exp, 7), (ad.neg, 7),
+        (ad.neg, 7),
     ])
     def test_unary_grads(self, op, wshape, rng):
         x = t64(rng.standard_normal(wshape))
         w = rng.standard_normal(wshape)
-        assert grad_check(lambda t: ad.mul(op(t), w).sum(), x) < 1e-5
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(op(t), w)), x) < 1e-5
 
-    def test_log_sqrt_grads_on_positive_inputs(self, rng):
+    def test_sqrt_grad_on_positive_inputs(self, rng):
         x = t64(rng.random(8) + 0.5)
         w = rng.standard_normal(8)
-        assert grad_check(lambda t: ad.mul(ad.log(t), w).sum(), x) < 1e-5
-        assert grad_check(lambda t: ad.mul(ad.sqrt(t), w).sum(), x) < 1e-5
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.sqrt(t), w)), x) < 1e-5
 
     def test_grad_check_restores_input_when_a_probe_raises(self):
-        x = t64([0.5, 1e-6, 2.0])
+        x = t64([0.5, 1e-5, 2.0])
+        ones = t64(np.ones(3))
         before = x.data.copy()
-        with pytest.raises(NonFiniteValue):  # log(1e-6 - eps) on the minus probe
-            grad_check(lambda t: ad.log(t).sum(), x)
+        with pytest.raises(NonFiniteValue):  # 1 / (1e-5 - eps) divides by exactly 0 on the minus probe
+            grad_check(lambda t: ad.reduce_sum(ad.div(ones, t)), x, eps=1e-5)
         assert np.array_equal(x.data, before)
 
     def test_binary_grads_with_broadcast(self, rng):
@@ -441,10 +455,10 @@ class TestElementwise:
         b = t64(rng.standard_normal((1, 4)))
         w = rng.standard_normal((3, 4))
         for op in (ad.add, ad.sub, ad.mul):
-            assert grad_check(lambda t: ad.mul(op(t, b), w).sum(), a) < 1e-5
-            assert grad_check(lambda t: ad.mul(op(a, t), w).sum(), b) < 1e-5
+            assert grad_check(lambda t: ad.reduce_sum(ad.mul(op(t, b), w)), a) < 1e-5
+            assert grad_check(lambda t: ad.reduce_sum(ad.mul(op(a, t), w)), b) < 1e-5
         bpos = t64(rng.random((1, 4)) + 0.5)
-        assert grad_check(lambda t: ad.mul(ad.div(a, t), w).sum(), bpos) < 1e-5
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.div(a, t), w)), bpos) < 1e-5
 
 
 class TestSoftmax:
@@ -466,12 +480,12 @@ class TestSoftmax:
     def test_grad(self, rng):
         x = t64(rng.standard_normal((3, 6)))
         w = rng.standard_normal((3, 6))
-        assert grad_check(lambda t: ad.mul(ad.softmax(t, -1), w).sum(), x) < 1e-5
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t, -1), w)), x) < 1e-5
 
     def test_log_softmax_grad(self, rng):
         x = t64(rng.standard_normal((3, 6)))
         w = rng.standard_normal((3, 6))
-        assert grad_check(lambda t: ad.mul(ad.log_softmax(t, -1), w).sum(), x) < 1e-5
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.log_softmax(t, -1), w)), x) < 1e-5
 
 
 class TestLayerNorm:
@@ -491,7 +505,7 @@ class TestLayerNorm:
         g = t64(rng.standard_normal(6))
         b = t64(rng.standard_normal(6))
         w = rng.standard_normal((3, 6))
-        err = grad_check_tensors(lambda: ad.mul(ad.layer_norm(x, g, b), w).sum(), [x, g, b])
+        err = grad_check_tensors(lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, g, b), w)), [x, g, b])
         assert err < 1e-5
 
 
@@ -528,7 +542,7 @@ class TestDropout:
         w = rng.standard_normal(40)
 
         def f(t):
-            return ad.mul(ad.dropout(t, 0.25, training=True, rng=np.random.default_rng(3)), w).sum()
+            return ad.reduce_sum(ad.mul(ad.dropout(t, 0.25, training=True, rng=np.random.default_rng(3)), w))
 
         assert grad_check(f, x) < 1e-5
 
@@ -541,7 +555,7 @@ class TestPooling:
     def test_pool_grads(self, rng):
         x = t64(rng.standard_normal((2, 3, 4, 4)))
         w = rng.standard_normal((2, 3, 2, 2))
-        assert grad_check(lambda t: ad.mul(ad.avg_pool(t, 2), w).sum(), x) < 1e-5
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.avg_pool(t, 2), w)), x) < 1e-5
 
     def test_window_must_tile(self):
         with pytest.raises(ShapeMismatch):
@@ -560,15 +574,15 @@ class TestStructural:
         a = t64(rng.standard_normal((2, 3)))
         b = t64(rng.standard_normal((2, 2)))
         w = rng.standard_normal((2, 5))
-        err = grad_check_tensors(lambda: ad.mul(ad.concat([a, b], 1), w).sum(), [a, b])
+        err = grad_check_tensors(lambda: ad.reduce_sum(ad.mul(ad.concat([a, b], 1), w)), [a, b])
         assert err < 1e-5
 
     @pytest.mark.parametrize("fn", [
-        lambda t: t.reshape(6, 2).sum(),
-        lambda t: t.transpose(1, 0).mean(),
-        lambda t: ad.narrow(t, 0, 1, 2).sum(),
-        lambda t: t.sum(axis=1).sum(),
-        lambda t: t.mean(axis=0, keepdims=True).sum(),
+        lambda t: ad.reduce_sum(ad.reshape(t, (6, 2))),
+        lambda t: ad.reduce_mean(ad.transpose(t, (1, 0))),
+        lambda t: ad.reduce_sum(ad.narrow(t, 0, 1, 2)),
+        lambda t: ad.reduce_sum(ad.reduce_sum(t, axis=1)),
+        lambda t: ad.reduce_sum(ad.reduce_mean(t, axis=0, keepdims=True)),
     ])
     def test_structural_grads(self, fn, rng):
         x = t64(rng.standard_normal((3, 4)))
@@ -580,14 +594,14 @@ class TestBackward:
         w = t64(rng.standard_normal((3, 2)))
         with Tape() as tape:
             tape.watch(w)
-            backward(w.sum())
+            backward(ad.reduce_sum(w))
         assert np.array_equal(w.grad, np.ones((3, 2)))
 
     def test_half_sum_of_squares(self):
         w = t64([1.0, 2.0])
         with Tape() as tape:
             tape.watch(w)
-            backward(ad.mul(ad.mul(w, w).sum(), 0.5))
+            backward(ad.mul(ad.reduce_sum(ad.mul(w, w)), 0.5))
         assert np.allclose(w.grad, [1.0, 2.0], atol=1e-12)
 
     def test_not_scalar(self, rng):
@@ -599,7 +613,7 @@ class TestBackward:
                 backward(out)
 
     def test_detached(self, rng):
-        loss = t64([1.0]).sum()
+        loss = ad.reduce_sum(t64([1.0]))
         with pytest.raises(DetachedTensor):
             backward(loss)
 
@@ -609,21 +623,21 @@ class TestBackward:
         with Tape() as tape:
             tape.watch(used)
             tape.watch(unused)
-            backward(used.sum())
+            backward(ad.reduce_sum(used))
         assert np.array_equal(unused.grad, np.zeros(5))
 
     def test_shared_input_accumulates(self):
         x = t64([3.0])
         with Tape() as tape:
             tape.watch(x)
-            backward(ad.mul(x, x).sum())  # d(x^2)/dx = 2x
+            backward(ad.reduce_sum(ad.mul(x, x)))  # d(x^2)/dx = 2x
         assert np.allclose(x.grad, [6.0], atol=1e-12)
 
     def test_backward_empties_the_tape(self, rng):
         x = t64(rng.standard_normal((2, 3)))
         with Tape() as tape:
             tape.watch(x)
-            backward(ad.gelu(ad.mul(x, x)).sum())
+            backward(ad.reduce_sum(ad.gelu(ad.mul(x, x))))
         assert tape.nodes == []
 
     def test_activations_freed_without_garbage_collection(self, rng):
@@ -634,7 +648,7 @@ class TestBackward:
                 tape.watch(x)
                 hidden = ad.gelu(ad.mul(x, 2.0))
                 ref = weakref.ref(hidden.data)
-                loss = ad.mul(hidden, hidden).sum()
+                loss = ad.reduce_sum(ad.mul(hidden, hidden))
                 backward(loss)
             del hidden, loss
             assert ref() is None
@@ -645,7 +659,7 @@ class TestBackward:
         x = t64(rng.standard_normal(3))
         with Tape() as tape:
             tape.watch(x)
-            loss = ad.mul(x, x).sum()
+            loss = ad.reduce_sum(ad.mul(x, x))
             backward(loss)
             with pytest.raises(DetachedTensor):
                 backward(loss)
@@ -653,13 +667,9 @@ class TestBackward:
 
 
 class TestFiniteGuard:
-    def test_overflow_raises(self):
+    def test_zero_over_zero_raises(self):
         with pytest.raises(NonFiniteValue):
-            ad.exp(t64([1000.0]))
-
-    def test_log_of_zero_raises(self):
-        with pytest.raises(NonFiniteValue):
-            ad.log(t64([0.0]))
+            ad.div(t64([0.0]), t64([0.0]))
 
     def test_div_by_zero_raises(self):
         with pytest.raises(NonFiniteValue):
@@ -679,5 +689,5 @@ class TestTensorBasics:
         x = t64(rng.standard_normal((2, 2)))
         with Tape() as tape:
             tape.watch(x)
-            backward(ad.gelu(x).sum())
+            backward(ad.reduce_sum(ad.gelu(x)))
         assert x.grad.shape == x.data.shape

@@ -157,6 +157,12 @@ class TestEvalCommand:
                    "--set", f"dataset_dir={empty}"])
         assert rc == 2
 
+    def test_missing_dataset_dir_is_exit_2_naming_path(self, trained_checkpoint, capsys):
+        rc = main(["eval", "--set", f"checkpoint={trained_checkpoint}",
+                   "--set", "dataset_dir=/no/such/dir"])
+        assert rc == 2
+        assert "dataset directory not found: /no/such/dir" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_exit_2(self, dataset_dir, capsys):
         rc = main(["eval", "--set", "checkpoint=/no/ckpt",
                    "--set", f"dataset_dir={dataset_dir}"])

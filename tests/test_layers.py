@@ -65,7 +65,7 @@ class TestDenseBlock:
         x = t64(rng.standard_normal((1, 2, 8, 8)))
         w = rng.standard_normal((1, 6, 8, 8))
         tensors = [x] + [p for p in blk.parameters()]
-        assert grad_check_tensors(lambda: ad.mul(blk(x), w).sum(), tensors) < 1e-4
+        assert grad_check_tensors(lambda: ad.reduce_sum(ad.mul(blk(x), w)), tensors) < 1e-4
 
     def test_two_input_grad_check_with_dropout(self, rng):
         blk = L.DenseBlock(3, 2, 2, np.random.default_rng(0), dropout_p=0.2, dtype=F64)
@@ -73,7 +73,8 @@ class TestDenseBlock:
         b = t64(rng.standard_normal((1, 1, 5, 5)))
         w = rng.standard_normal((1, 7, 5, 5))
         tensors = [a, b] + blk.parameters()
-        err = grad_check_tensors(lambda: ad.mul(blk([a, b], True, np.random.default_rng(4)), w).sum(), tensors)
+        err = grad_check_tensors(
+            lambda: ad.reduce_sum(ad.mul(blk([a, b], True, np.random.default_rng(4)), w)), tensors)
         assert err < 1e-4
 
     def test_zero_layer_block_returns_inputs_joined(self, rng):
@@ -111,12 +112,12 @@ class TestTransitions:
         x = t64(rng.standard_normal((1, 2, 4, 4)))
         w = rng.standard_normal((1, 3, 2, 2))
         tensors = [x] + [p for p in td.parameters()]
-        assert grad_check_tensors(lambda: ad.mul(td(x), w).sum(), tensors) < 1e-4
+        assert grad_check_tensors(lambda: ad.reduce_sum(ad.mul(td(x), w)), tensors) < 1e-4
 
         tu = L.TransitionUp(2, 3, np.random.default_rng(0), dtype=F64)
         w2 = rng.standard_normal((1, 3, 8, 8))
         tensors = [x] + [p for p in tu.parameters()]
-        assert grad_check_tensors(lambda: ad.mul(tu(x), w2).sum(), tensors) < 1e-4
+        assert grad_check_tensors(lambda: ad.reduce_sum(ad.mul(tu(x), w2)), tensors) < 1e-4
 
 
 class TestPatchEmbedding:
@@ -206,7 +207,7 @@ class TestMHSABlock:
         z = t64(rng.standard_normal((1, 3, 8)))
         w = rng.standard_normal((1, 3, 8))
         tensors = [z] + [p for p in blk.parameters()]
-        assert grad_check_tensors(lambda: ad.mul(blk(z), w).sum(), tensors) < 1e-4
+        assert grad_check_tensors(lambda: ad.reduce_sum(ad.mul(blk(z), w)), tensors) < 1e-4
 
 
 class TestResMLPBlock:
@@ -242,7 +243,7 @@ class TestResMLPBlock:
         tensors = [z, blk.alpha] + [
             p for name, p in blk.named_parameters() if name != "alpha"
         ]
-        assert grad_check_tensors(lambda: ad.mul(blk(z), w).sum(), tensors) < 1e-4
+        assert grad_check_tensors(lambda: ad.reduce_sum(ad.mul(blk(z), w)), tensors) < 1e-4
 
 
 class TestPlainMLPBlock:
@@ -344,7 +345,7 @@ class TestCLAB:
         x = t64(rng.standard_normal((1, 4, 6, 6)))
         w = rng.standard_normal((1, 4, 6, 6))
         tensors = [x] + [p for p in gate.parameters()]
-        assert grad_check_tensors(lambda: ad.mul(gate(x), w).sum(), tensors) < 1e-4
+        assert grad_check_tensors(lambda: ad.reduce_sum(ad.mul(gate(x), w)), tensors) < 1e-4
 
 
 class TestCUABLike:
@@ -371,7 +372,7 @@ class TestCUABLike:
         x = t64(rng.standard_normal((1, 4, 6, 6)))
         w = rng.standard_normal((1, 4, 6, 6))
         tensors = [x] + [p for p in gate.parameters()]
-        assert grad_check_tensors(lambda: ad.mul(gate(x), w).sum(), tensors) < 1e-4
+        assert grad_check_tensors(lambda: ad.reduce_sum(ad.mul(gate(x), w)), tensors) < 1e-4
 
 
 @pytest.mark.parametrize("cls", [L.CLAB, L.CUABLike])

@@ -1,17 +1,19 @@
 """Optimizer arithmetic, lr schedule, augmentation, the training loop's
 determinism and log format, and the ablation runner."""
 
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+import tfcns.autodiff as ad
 from conftest import small_model_config, tiny_model_config
 from tfcns.autodiff import Parameter
 from tfcns.data import SegmentationPair, SyntheticSpec, generate_synthetic
 from tfcns.errors import ConfigInvalid, NonFiniteLoss
 from tfcns.metrics import MetricReport
-from tfcns.model import build
+from tfcns.model import MLP_VARIANT_CHOICES, SKIP_ATTENTION_CHOICES, build
 from tfcns.training import (
     OptimizerState,
     TrainConfig,
@@ -189,6 +191,27 @@ class TestTrainLoop:
         for name, p in model.named_parameters():
             assert np.all(np.isfinite(p.grad)) and np.all(np.isfinite(p.data)), name
         assert np.any(model.dec_blocks[0].convs[0].weight.grad)
+
+    def test_every_public_op_runs_in_a_training_step(self, quick_dataset, monkeypatch):
+        """The autodiff API holds only ops that some model variant runs."""
+        ops = {name for name, fn in vars(ad).items()
+               if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")}
+        ops -= {"backward", "grad_check", "grad_check_tensors"}
+        called = set()
+
+        def recording(name, fn):
+            def op(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+            return op
+
+        for name in ops:
+            monkeypatch.setattr(ad, name, recording(name, getattr(ad, name)))
+        for skip in SKIP_ATTENTION_CHOICES:
+            for mlp in MLP_VARIANT_CHOICES:
+                cfg = tiny_model_config(num_classes=3, dropout_p=0.2, skip_attention=skip, mlp_variant=mlp)
+                train(build(cfg), quick_dataset, quick_train_cfg(max_iterations=1))
+        assert "conv2d" in ops and sorted(ops - called) == []
 
     def test_fixed_seed_reproduces_loss_trajectory(self, quick_dataset):
         runs = []
