@@ -34,7 +34,7 @@ print(f"grad check    : max rel err {err:.2e}  (tape vs central differences)")
 probs = ad.softmax(Tensor([1000.0, 0.0, -1000.0], dtype=np.float64))
 print("softmax(1000,0,-1000) =", probs.data, " sums to", probs.data.sum())
 
-drop = ad.dropout(Tensor(np.ones(10)), p=0.5, training=True, rng=np.random.default_rng(1))
+drop = ad.dropout(Tensor(np.ones(10)), p=0.5, rng=np.random.default_rng(1))
 print("dropout keeps and rescales:", drop.data)
 
 # an op that would produce Inf raises instead of propagating silently

@@ -519,11 +519,12 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 
 def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
-                dropout_p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
+                dropout_p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
     """FC-DenseNet block as one op over a shared feature buffer (Pleiss et al.,
     arXiv:1707.06990): the inputs fill the first C0 channels of one
     B x (C0 + L*g) x H x W buffer F, and layer i writes dropout(gelu(conv3x3))
     of the channel-prefix view F[:, :C0 + i*g] into the next g channels.
+    Dropout runs when given a generator.
     Backward walks the layers in reverse over one copy of the output gradient,
     adding each layer's input gradient into its prefix in place, band by band
     (no full-size input gradient is built). When a tape records the node it
@@ -546,7 +547,7 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
         lo = c0 + i * growth
         z, ctx = _conv2d_forward(feats[:, :lo], w.data, None if b is None else b.data)
         y, cdf = _gelu_forward(z)
-        keep = _dropout_keep(y, dropout_p, training, rng)
+        keep = _dropout_keep(y, dropout_p, rng)
         feats[:, lo:lo + growth] = y if keep is None else y * _dropout_scale(keep, dropout_p, y.dtype)
         if saved is not None:
             saved.append((ctx, _gelu_slope(z, cdf), keep))
@@ -630,8 +631,9 @@ def avg_pool(x: Tensor, window: int) -> Tensor:
     return _out("avg_pool", (x,), data, backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Zero mean / unit variance over the last (feature) axis, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Zero mean / unit variance (variance offset by 1e-6) over the last
+    (feature) axis, then affine."""
     xd = x.data
     d = xd.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
@@ -641,7 +643,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     mu = xd.mean(axis=-1, keepdims=True)
     xmu = xd - mu
     var = np.mean(xmu * xmu, axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + 1e-6)
     xhat = xmu * ivar
     data = xhat * gamma.data + beta.data
 
@@ -659,15 +661,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return _out("layer_norm", (x, gamma, beta), data, backward)
 
 
-def _dropout_keep(x: np.ndarray, p: float, training: bool, rng: Optional[np.random.Generator]):
+def _dropout_keep(x: np.ndarray, p: float, rng: Optional[np.random.Generator]):
     """Bool keep mask of inverted dropout, False with probability p; None
-    where dropout is the identity (inference or p == 0)."""
+    where dropout is the identity (no generator, or p == 0)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return None
-    if rng is None:
-        raise ValueError("training-mode dropout needs an explicit rng")
     return rng.random(x.shape) >= p
 
 
@@ -676,11 +676,12 @@ def _dropout_scale(keep: np.ndarray, p: float, dtype) -> np.ndarray:
     return keep.astype(dtype) * (1.0 / (1.0 - p))
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero with probability p and scale survivors by 1/(1-p)
-    during training; exact identity at inference or p == 0. The tape keeps
-    the bool keep mask and rebuilds the multiplier in backward."""
-    keep = _dropout_keep(x.data, p, training, rng)
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Inverted dropout: runs when given a generator, zeroing with probability
+    p and scaling survivors by 1/(1-p); exact identity without a generator or
+    at p == 0. The tape keeps the bool keep mask and rebuilds the multiplier
+    in backward."""
+    keep = _dropout_keep(x.data, p, rng)
     if keep is None:
         return x
     dtype = x.data.dtype

@@ -389,11 +389,3 @@ def load_dataset(directory) -> list[SegmentationPair]:
         pairs.append(SegmentationPair(image=image, mask=mask, case_id=stem))
     return pairs
 
-
-def split(pairs: Sequence[SegmentationPair], train_fraction: float,
-          seed: int) -> tuple[list[SegmentationPair], list[SegmentationPair]]:
-    """Seeded shuffle, then a contiguous cut at round(train_fraction * n)."""
-    order = np.random.default_rng(seed).permutation(len(pairs))
-    n_train = int(round(train_fraction * len(pairs)))
-    return [pairs[i] for i in order[:n_train]], [pairs[i] for i in order[n_train:]]
-

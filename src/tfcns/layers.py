@@ -4,7 +4,7 @@ variant with its learned scalar, and the convolutional-linear skip gates.
 
 All blocks preserve the B x C x H x W (maps) or B x T x D (token) layout
 stated per class. Forward passes are single-threaded per instance; blocks
-that draw randomness (dropout) take an explicit generator.
+with dropout take an optional generator and run dropout only when given one.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ class DenseBlock(Module):
     """
 
     def __init__(self, in_channels: int, growth_rate: int, n_layers: int,
-                 rng: np.random.Generator, dropout_p: float = 0.0, dtype=np.float32):
+                 rng: np.random.Generator, dropout_p: float = 0.0):
         self.in_channels = in_channels
         self.growth_rate = growth_rate
         self.n_layers = n_layers
         self.convs = [
-            Conv2d(in_channels + i * growth_rate, growth_rate, 3, rng, dtype=dtype)
-            for i in range(n_layers)
+            Conv2d(in_channels + i * growth_rate, growth_rate, 3, rng) for i in range(n_layers)
         ]
         self.dropout_p = dropout_p
 
@@ -46,20 +45,18 @@ class DenseBlock(Module):
     def out_channels(self) -> int:
         return self.in_channels + self.n_layers * self.growth_rate
 
-    def forward(self, x, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, x, rng: Optional[np.random.Generator] = None) -> Tensor:
         inputs = list(x) if isinstance(x, (list, tuple)) else [x]
         return ad.dense_block(inputs, [conv.weight for conv in self.convs],
-                              [conv.bias for conv in self.convs], self.dropout_p, training, rng)
+                              [conv.bias for conv in self.convs], self.dropout_p, rng)
 
 
 class TransitionDown(Module):
     """1x1 conv + GELU + 2x2 average pooling; halves both spatial dims
     (even dims required)."""
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.conv = Conv2d(in_channels, out_channels, 1, rng, dtype=dtype)
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
+        self.conv = Conv2d(in_channels, out_channels, 1, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.avg_pool(ad.gelu(self.conv(x)), 2)
@@ -68,9 +65,8 @@ class TransitionDown(Module):
 class TransitionUp(Module):
     """Stride-2 2x2 transposed convolution; doubles both spatial dims."""
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.conv = ConvTranspose2d(in_channels, out_channels, 2, rng, dtype=dtype)
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
+        self.conv = ConvTranspose2d(in_channels, out_channels, 2, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.conv(x)
@@ -84,14 +80,13 @@ class PatchEmbedding(Module):
     output sequence has length N + 1 with the class token at index 0.
     """
 
-    def __init__(self, in_channels: int, embed_dim: int, n_tokens: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_channels: int, embed_dim: int, n_tokens: int, rng: np.random.Generator):
         self.in_channels = in_channels
         self.embed_dim = embed_dim
         self.n_tokens = n_tokens
-        self.projection = Parameter(he_normal(rng, (in_channels, embed_dim), in_channels, dtype))
-        self.class_token = Parameter(embedding_init(rng, (1, embed_dim), dtype), no_decay=True)
-        self.position_table = Parameter(embedding_init(rng, (n_tokens + 1, embed_dim), dtype), no_decay=True)
+        self.projection = Parameter(he_normal(rng, (in_channels, embed_dim), in_channels))
+        self.class_token = Parameter(embedding_init(rng, (1, embed_dim)), no_decay=True)
+        self.position_table = Parameter(embedding_init(rng, (n_tokens + 1, embed_dim)), no_decay=True)
 
     def forward(self, feature_map: Tensor) -> Tensor:
         b, c, hf, wf = feature_map.shape
@@ -130,27 +125,26 @@ class MHSABlock(Module):
     """
 
     def __init__(self, embed_dim: int, n_heads: int, rng: np.random.Generator,
-                 attn_dropout_p: float = 0.0, dtype=np.float32):
+                 attn_dropout_p: float = 0.0):
         if embed_dim % n_heads:
             raise ConfigInvalid(f"embed_dim {embed_dim} not divisible by n_heads {n_heads}")
         self.embed_dim = embed_dim
         self.n_heads = n_heads
         self.head_dim = embed_dim // n_heads
-        self.norm = LayerNorm(embed_dim, dtype=dtype)
-        self.w_q = Linear(embed_dim, embed_dim, rng, dtype=dtype)
+        self.norm = LayerNorm(embed_dim)
+        self.w_q = Linear(embed_dim, embed_dim, rng)
         # softmax is invariant to per-query constant score shifts, which is
         # exactly what a key bias adds; it would be a dead parameter
-        self.w_k = Linear(embed_dim, embed_dim, rng, dtype=dtype, bias=False)
-        self.w_v = Linear(embed_dim, embed_dim, rng, dtype=dtype)
-        self.w_o = Linear(embed_dim, embed_dim, rng, dtype=dtype)
+        self.w_k = Linear(embed_dim, embed_dim, rng, bias=False)
+        self.w_v = Linear(embed_dim, embed_dim, rng)
+        self.w_o = Linear(embed_dim, embed_dim, rng)
         self.dropout_p = attn_dropout_p
         self.last_attention: Optional[np.ndarray] = None
 
     def _split_heads(self, x: Tensor, b: int, t: int) -> Tensor:
         return ad.transpose(ad.reshape(x, (b, t, self.n_heads, self.head_dim)), (0, 2, 1, 3))
 
-    def forward(self, z: Tensor, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, z: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
         b, t, d = z.shape
         x = self.norm(z)
         q = self._split_heads(self.w_q(x), b, t)
@@ -160,7 +154,7 @@ class MHSABlock(Module):
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
         attn = ad.softmax(scores, axis=-1)
         self.last_attention = attn.data
-        attn = ad.dropout(attn, self.dropout_p, training, rng)
+        attn = ad.dropout(attn, self.dropout_p, rng)
         ctx = ad.matmul(attn, v)
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, t, d))
         return ad.add(self.w_o(merged), z)
@@ -177,24 +171,23 @@ class ResMLPBlock(Module):
     """
 
     def __init__(self, embed_dim: int, hidden_dim: int, rng: np.random.Generator,
-                 dropout_p: float = 0.0, dtype=np.float32):
-        self.norm = LayerNorm(embed_dim, dtype=dtype)
-        self.l1 = Linear(embed_dim, hidden_dim, rng, dtype=dtype)
-        self.l2 = Linear(hidden_dim, embed_dim, rng, dtype=dtype)
-        self.l3 = Linear(embed_dim, embed_dim, rng, dtype=dtype)
-        self.alpha = Parameter(np.ones((), dtype=dtype), no_decay=True)
+                 dropout_p: float = 0.0):
+        self.norm = LayerNorm(embed_dim)
+        self.l1 = Linear(embed_dim, hidden_dim, rng)
+        self.l2 = Linear(hidden_dim, embed_dim, rng)
+        self.l3 = Linear(embed_dim, embed_dim, rng)
+        self.alpha = Parameter(np.ones(()), no_decay=True)
         self.dropout_p = dropout_p
 
-    def forward(self, z: Tensor, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, z: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
         zn = self.norm(z)
         a = ad.mul(ad.gelu(self.l1(zn)), self.alpha)
-        a = ad.dropout(a, self.dropout_p, training, rng)
+        a = ad.dropout(a, self.dropout_p, rng)
         a = self.l2(a)
-        a = ad.dropout(a, self.dropout_p, training, rng)
+        a = ad.dropout(a, self.dropout_p, rng)
         inner = ad.add(zn, a)
         out = self.l3(ad.gelu(inner))
-        out = ad.dropout(out, self.dropout_p, training, rng)
+        out = ad.dropout(out, self.dropout_p, rng)
         return ad.add(out, z)
 
 
@@ -203,16 +196,15 @@ class PlainMLPBlock(Module):
     ResMLPBlock): out = Drop(L2(Drop(GELU(L1(LN(z)))))) + z."""
 
     def __init__(self, embed_dim: int, hidden_dim: int, rng: np.random.Generator,
-                 dropout_p: float = 0.0, dtype=np.float32):
-        self.norm = LayerNorm(embed_dim, dtype=dtype)
-        self.l1 = Linear(embed_dim, hidden_dim, rng, dtype=dtype)
-        self.l2 = Linear(hidden_dim, embed_dim, rng, dtype=dtype)
+                 dropout_p: float = 0.0):
+        self.norm = LayerNorm(embed_dim)
+        self.l1 = Linear(embed_dim, hidden_dim, rng)
+        self.l2 = Linear(hidden_dim, embed_dim, rng)
         self.dropout_p = dropout_p
 
-    def forward(self, z: Tensor, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
-        h = ad.dropout(ad.gelu(self.l1(self.norm(z))), self.dropout_p, training, rng)
-        out = ad.dropout(self.l2(h), self.dropout_p, training, rng)
+    def forward(self, z: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
+        h = ad.dropout(ad.gelu(self.l1(self.norm(z))), self.dropout_p, rng)
+        out = ad.dropout(self.l2(h), self.dropout_p, rng)
         return ad.add(out, z)
 
 
@@ -223,24 +215,23 @@ class RLTransformerEncoder(Module):
 
     def __init__(self, embed_dim: int, depth: int, n_heads: int, hidden_dim: int,
                  rng: np.random.Generator, dropout_p: float = 0.0,
-                 mlp_variant: str = "resmlp", dtype=np.float32):
+                 mlp_variant: str = "resmlp"):
         if mlp_variant not in ("resmlp", "plain_mlp"):
             raise ConfigInvalid(f"unknown mlp_variant {mlp_variant!r}")
         self.attn_blocks = []
         self.mlp_blocks = []
         for _ in range(depth):
-            self.attn_blocks.append(MHSABlock(embed_dim, n_heads, rng, dropout_p, dtype=dtype))
+            self.attn_blocks.append(MHSABlock(embed_dim, n_heads, rng, dropout_p))
             if mlp_variant == "resmlp":
-                self.mlp_blocks.append(ResMLPBlock(embed_dim, hidden_dim, rng, dropout_p, dtype=dtype))
+                self.mlp_blocks.append(ResMLPBlock(embed_dim, hidden_dim, rng, dropout_p))
             else:
-                self.mlp_blocks.append(PlainMLPBlock(embed_dim, hidden_dim, rng, dropout_p, dtype=dtype))
-        self.final_norm = LayerNorm(embed_dim, dtype=dtype)
+                self.mlp_blocks.append(PlainMLPBlock(embed_dim, hidden_dim, rng, dropout_p))
+        self.final_norm = LayerNorm(embed_dim)
 
-    def forward(self, z: Tensor, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+    def forward(self, z: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
         for attn, mlp in zip(self.attn_blocks, self.mlp_blocks):
-            z = attn(z, training, rng)
-            z = mlp(z, training, rng)
+            z = attn(z, rng)
+            z = mlp(z, rng)
         return self.final_norm(z)
 
 
@@ -260,18 +251,15 @@ class _BranchGate(Module):
     cancels under the centering).
     """
 
-    def __init__(self, in_channels: int, n_branches: int, branch_kernels: int,
-                 rng: np.random.Generator, eps: float = 1e-5, dtype=np.float32):
+    eps = 1e-5
+
+    def __init__(self, in_channels: int, n_branches: int, branch_kernels: int, rng: np.random.Generator):
         self.in_channels = in_channels
         self.n_branches = n_branches
         self.branch_kernels = branch_kernels
-        self.eps = eps
-        self.branches = [
-            Conv2d(in_channels, branch_kernels, 1, rng, dtype=dtype, bias=False)
-            for _ in range(n_branches)
-        ]
-        self.gate_linear = Linear(n_branches, in_channels, rng, dtype=dtype)
-        self.gate_conv = Conv2d(n_branches, 1, 1, rng, dtype=dtype)
+        self.branches = [Conv2d(in_channels, branch_kernels, 1, rng, bias=False) for _ in range(n_branches)]
+        self.gate_linear = Linear(n_branches, in_channels, rng)
+        self.gate_conv = Conv2d(n_branches, 1, 1, rng)
         self._factors: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property

@@ -169,14 +169,13 @@ class MetricReport:
         return "\t".join(header) + "\n" + "\t".join(row) + "\n"
 
 
-def evaluate_case(pred_mask: np.ndarray, ref_mask: np.ndarray, num_classes: int,
-                  spacing=1.0) -> dict[int, ClassStats]:
+def evaluate_case(pred_mask: np.ndarray, ref_mask: np.ndarray, num_classes: int) -> dict[int, ClassStats]:
     """Dice/Jaccard/hd95 for one case, every class; hd95 is None where a side
     is empty."""
     out = {}
     for c in range(num_classes):
         try:
-            h = hd95(pred_mask, ref_mask, c, spacing)
+            h = hd95(pred_mask, ref_mask, c)
             missing = 0
         except EmptyMask:
             h = None

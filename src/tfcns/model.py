@@ -103,6 +103,9 @@ class ModelConfig:
             raise ConfigInvalid(f"patch_size {p} must be a power of two >= 4")
         if self.input_size < p or self.input_size % p:
             raise ConfigInvalid(f"input_size {self.input_size} not a positive multiple of patch_size {p}")
+        for name in ("transformer_layers", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(f"{name} {getattr(self, name)} must be non-negative")
         if self.embed_dim % self.n_heads:
             raise ConfigInvalid(f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")
         if len(self.stage_layers()) != self.n_stages:
@@ -145,32 +148,36 @@ class TFCNsModel(Module):
     take the upsampled map and the gated skip as two inputs), and a 1x1 conv
     head producing B x num_classes x H x W logits."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator] = None, dtype=np.float32):
         cfg.validate()
+        if rng is None:
+            rng = np.random.default_rng(cfg.seed)
+        # each submodule is cast as it is built, so at most one submodule's
+        # float64 init draws are alive at a time
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         stages = cfg.n_stages
         layers = cfg.stage_layers()
 
-        self.stem = Conv2d(cfg.in_channels, cfg.first_conv_channels, 3, rng, dtype=dtype)
+        self.stem = Conv2d(cfg.in_channels, cfg.first_conv_channels, 3, rng).astype(dtype)
         self.enc_blocks = []
         self.trans_down = []
         self.skip_channels = []
         channels = cfg.first_conv_channels
         for s in range(stages):
-            block = DenseBlock(channels, cfg.growth_rate, layers[s], rng, cfg.dropout_p, dtype=dtype)
+            block = DenseBlock(channels, cfg.growth_rate, layers[s], rng, cfg.dropout_p).astype(dtype)
             channels = block.out_channels
             self.enc_blocks.append(block)
             self.skip_channels.append(channels)
-            self.trans_down.append(TransitionDown(channels, channels, rng, dtype=dtype))
+            self.trans_down.append(TransitionDown(channels, channels, rng).astype(dtype))
 
         self.bottleneck_size = cfg.input_size // cfg.patch_size
         n_tokens = self.bottleneck_size ** 2
-        self.patch_embed = PatchEmbedding(channels, cfg.embed_dim, n_tokens, rng, dtype=dtype)
+        self.patch_embed = PatchEmbedding(channels, cfg.embed_dim, n_tokens, rng).astype(dtype)
         self.encoder = RLTransformerEncoder(
             cfg.embed_dim, cfg.transformer_layers, cfg.n_heads, cfg.hidden_dim(),
-            rng, cfg.dropout_p, cfg.mlp_variant, dtype=dtype,
-        )
+            rng, cfg.dropout_p, cfg.mlp_variant,
+        ).astype(dtype)
 
         self.trans_up = []
         self.skip_gates = []
@@ -178,19 +185,19 @@ class TFCNsModel(Module):
         channels = cfg.embed_dim
         for s in reversed(range(stages)):
             skip_ch = self.skip_channels[s]
-            self.trans_up.append(TransitionUp(channels, skip_ch, rng, dtype=dtype))
+            self.trans_up.append(TransitionUp(channels, skip_ch, rng).astype(dtype))
             kernels = cfg.clab_kernels if cfg.clab_kernels is not None else max(1, skip_ch // 2)
             if cfg.skip_attention == "clab":
-                self.skip_gates.append(CLAB(skip_ch, cfg.clab_branches, kernels, rng, dtype=dtype))
+                self.skip_gates.append(CLAB(skip_ch, cfg.clab_branches, kernels, rng).astype(dtype))
             elif cfg.skip_attention == "cuab_like":
-                self.skip_gates.append(CUABLike(skip_ch, cfg.clab_branches, kernels, rng, dtype=dtype))
+                self.skip_gates.append(CUABLike(skip_ch, cfg.clab_branches, kernels, rng).astype(dtype))
             else:
                 self.skip_gates.append(None)
-            block = DenseBlock(2 * skip_ch, cfg.growth_rate, layers[s], rng, cfg.dropout_p, dtype=dtype)
+            block = DenseBlock(2 * skip_ch, cfg.growth_rate, layers[s], rng, cfg.dropout_p).astype(dtype)
             channels = block.out_channels
             self.dec_blocks.append(block)
 
-        self.head = Conv2d(channels, cfg.num_classes, 1, rng, dtype=dtype)
+        self.head = Conv2d(channels, cfg.num_classes, 1, rng).astype(dtype)
 
         names = [name for name, _ in self.named_parameters()]
         if len(names) != len(set(names)):
@@ -207,9 +214,12 @@ class TFCNsModel(Module):
             return x
         return Tensor(np.asarray(x), dtype=self.dtype)
 
-    def forward(self, x, training: bool = False,
-                rng: Optional[np.random.Generator] = None,
-                return_features: bool = False):
+    def forward(self, x, rng: Optional[np.random.Generator] = None) -> Tensor:
+        """B x num_classes x H x W logits; dropout runs when given a generator."""
+        return self.head(self.features(x, rng))
+
+    def features(self, x, rng: Optional[np.random.Generator] = None) -> Tensor:
+        """The last decoder block's output, the feature maps the head reads."""
         x = self._to_tensor(x)
         cfg = self.cfg
         if x.ndim != 4 or x.shape[1] != cfg.in_channels:
@@ -223,13 +233,13 @@ class TFCNsModel(Module):
         y = self.stem(x)
         skips = []
         for block, down in zip(self.enc_blocks, self.trans_down):
-            y = block(y, training, rng)
+            y = block(y, rng)
             skips.append(y)
             y = down(y)
 
         hf = self.bottleneck_size
         tokens = self.patch_embed(y)
-        tokens = self.encoder(tokens, training, rng)
+        tokens = self.encoder(tokens, rng)
         y = tokens_to_map(tokens, hf, hf)
 
         for up, gate, block in zip(self.trans_up, self.skip_gates, self.dec_blocks):
@@ -237,20 +247,13 @@ class TFCNsModel(Module):
             y = up(y)
             if gate is not None:
                 skip = gate(skip)
-            y = block([y, skip], training, rng)
-
-        features = y
-        logits = self.head(y)
-        if return_features:
-            return logits, features
-        return logits
+            y = block([y, skip], rng)
+        return y
 
 
 def build(cfg: ModelConfig, rng: Optional[np.random.Generator] = None, dtype=np.float32) -> TFCNsModel:
     """Deterministically initialized model; given the same seed (or generator
     state) the parameter bytes are identical."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     return TFCNsModel(cfg, rng, dtype=dtype)
 
 
@@ -258,7 +261,7 @@ def predict(model: TFCNsModel, x) -> np.ndarray:
     """Per-pixel argmax over the class logits -> B x H x W class indices (the
     softmax is monotone, so this is the most probable class). Ties resolve to
     the lowest class index."""
-    logits = model.forward(x, training=False)
+    logits = model.forward(x)
     return np.argmax(logits.data, axis=1).astype(np.int32)
 
 
@@ -268,7 +271,7 @@ def class_activation_map(model: TFCNsModel, x, target_class: int) -> np.ndarray:
     all-zero) map normalizes to zeros."""
     if not 0 <= target_class < model.cfg.num_classes:
         raise ClassOutOfRange(f"class {target_class} outside [0, {model.cfg.num_classes})")
-    _, features = model.forward(x, training=False, return_features=True)
+    features = model.features(x)
     weights = model.head.weight.data[target_class, :, 0, 0]
     cam = np.tensordot(features.data, weights, axes=([1], [0]))
     cam = np.maximum(cam, 0.0)
@@ -286,7 +289,6 @@ def class_activation_map(model: TFCNsModel, x, target_class: int) -> np.ndarray:
 
 @dataclass
 class Checkpoint:
-    version: int
     config: ModelConfig
     params: dict
     momentum: dict = field(default_factory=dict)
@@ -360,13 +362,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: malformed payload: {exc}") from exc
     if offset != len(payload):
         raise FormatError(f"{path}: trailing bytes in payload")
-    return Checkpoint(
-        version=version,
-        config=cfg,
-        params=params,
-        momentum=momentum,
-        iteration=iteration,
-    )
+    return Checkpoint(config=cfg, params=params, momentum=momentum, iteration=iteration)
 
 
 def restore_parameters(model: TFCNsModel, params: dict) -> None:
@@ -393,12 +389,15 @@ class _NoDraw:
     standard_normal = staticmethod(np.zeros)
 
 
-def model_from_checkpoint(source) -> tuple[TFCNsModel, Checkpoint]:
-    """Rebuild a model from a checkpoint path (or loaded Checkpoint); the
-    restored model's forward pass is bit-identical to the saved one's."""
-    ckpt = source if isinstance(source, Checkpoint) else load_checkpoint(source)
-    dtype = next(iter(ckpt.params.values())).dtype if ckpt.params else np.float32
-    model = build(ckpt.config, rng=_NoDraw(), dtype=np.dtype(dtype))
+def model_from_checkpoint(path) -> tuple[TFCNsModel, Checkpoint]:
+    """Rebuild a model from a checkpoint file; the restored model's forward
+    pass is bit-identical to the saved one's. Every parameter record must be
+    float32, or every one float64."""
+    ckpt = load_checkpoint(path)
+    dtypes = {arr.dtype.name for arr in ckpt.params.values()}
+    if dtypes not in ({"float32"}, {"float64"}):
+        raise FormatError(f"{path}: parameter records must be all float32 or all float64, got {sorted(dtypes)}")
+    model = build(ckpt.config, rng=_NoDraw(), dtype=dtypes.pop())
     restore_parameters(model, ckpt.params)
     return model, ckpt
 

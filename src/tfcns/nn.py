@@ -4,8 +4,9 @@ are assembled from.
 
 A ``Parameter`` is a ``Tensor``, so layers pass it straight to the ops.
 Weights use He fan-in initialization, biases start at zero, and embedding
-tables use N(0, 0.02). Construction order fixes the parameter registry
-order, so a fixed seed yields bit-identical parameters.
+tables use N(0, 0.02). Layers hold float64 parameters; ``Module.astype``
+casts a built module to the dtype it computes in. Construction order fixes
+the parameter registry order, so a fixed seed yields bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -49,26 +50,27 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter in place; returns the module."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
+        return self
 
-def he_normal(rng: np.random.Generator, shape: tuple, fan_in: int, dtype) -> np.ndarray:
-    std = np.sqrt(2.0 / fan_in)
-    return (rng.standard_normal(shape) * std).astype(dtype)
+
+def he_normal(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
+    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
-def embedding_init(rng: np.random.Generator, shape: tuple, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * 0.02).astype(dtype)
+def embedding_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    return rng.standard_normal(shape) * 0.02
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 dtype=np.float32, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(he_normal(rng, (in_features, out_features), in_features, dtype))
-        if bias:
-            self.bias = Parameter(np.zeros(out_features, dtype), no_decay=True)
-        else:
-            self.bias = None
+        self.weight = Parameter(he_normal(rng, (in_features, out_features), in_features))
+        self.bias = Parameter(np.zeros(out_features), no_decay=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         y = ad.matmul(x, self.weight)
@@ -77,39 +79,30 @@ class Linear(Module):
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, dtype=np.float32, bias: bool = True):
+                 rng: np.random.Generator, bias: bool = True):
         k = kernel_size
-        self.weight = Parameter(
-            he_normal(rng, (out_channels, in_channels, k, k), in_channels * k * k, dtype)
-        )
-        if bias:
-            self.bias = Parameter(np.zeros(out_channels, dtype), no_decay=True)
-        else:
-            self.bias = None
+        self.weight = Parameter(he_normal(rng, (out_channels, in_channels, k, k), in_channels * k * k))
+        self.bias = Parameter(np.zeros(out_channels), no_decay=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias)
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, rng: np.random.Generator):
         k = kernel_size
-        self.weight = Parameter(
-            he_normal(rng, (in_channels, out_channels, k, k), in_channels * k * k, dtype)
-        )
-        self.bias = Parameter(np.zeros(out_channels, dtype), no_decay=True)
+        self.weight = Parameter(he_normal(rng, (in_channels, out_channels, k, k), in_channels * k * k))
+        self.bias = Parameter(np.zeros(out_channels), no_decay=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv_transpose2d(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-6):
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim, dtype))
-        self.beta = Parameter(np.zeros(dim, dtype), no_decay=True)
+    def __init__(self, dim: int):
+        self.gamma = Parameter(np.ones(dim))
+        self.beta = Parameter(np.zeros(dim), no_decay=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 

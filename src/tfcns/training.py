@@ -48,7 +48,7 @@ class TrainConfig:
             raise ConfigInvalid(f"lr_decay_factor {self.lr_decay_factor} outside (0, 1]")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigInvalid("batch_size and epochs must be positive")
-        for name in ("eval_every", "max_iterations"):
+        for name in ("eval_every", "max_iterations", "seed"):
             if (getattr(self, name) or 0) < 0:
                 raise ConfigInvalid(f"{name} {getattr(self, name)} must be non-negative")
 
@@ -122,12 +122,12 @@ def augment(pair: SegmentationPair, rng: np.random.Generator,
     )
 
 
-def evaluate(model: TFCNsModel, pairs: Sequence[SegmentationPair], spacing=1.0) -> MetricReport:
+def evaluate(model: TFCNsModel, pairs: Sequence[SegmentationPair]) -> MetricReport:
     """Predict every case and aggregate Dice/Jaccard/hd95 per class."""
     reports = []
     for pair in pairs:
         pred = predict(model, pair.image[None])[0]
-        reports.append(evaluate_case(pred, pair.mask, model.cfg.num_classes, spacing))
+        reports.append(evaluate_case(pred, pair.mask, model.cfg.num_classes))
     return aggregate(reports)
 
 
@@ -202,10 +202,10 @@ def refuse_existing_log(out_dir) -> None:
 
 
 def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConfig,
-          eval_dataset: Optional[Sequence[SegmentationPair]] = None,
           out_dir=None,
           callbacks: Optional[Sequence[Callable[[IterRecord], None]]] = None) -> TrainLog:
-    """Run the optimization loop; returns the per-iteration log. With an
+    """Run the optimization loop, evaluating on ``dataset`` every
+    ``eval_every`` iterations; returns the per-iteration log. With an
     output directory, writes the line-delimited training log and checkpoints
     at the end and at the best eval dice; an output directory whose
     training.log is not empty is refused."""
@@ -214,7 +214,6 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
         raise ConfigInvalid("training dataset is empty")
     if out_dir is not None:
         refuse_existing_log(out_dir)
-    eval_pairs = eval_dataset if eval_dataset is not None else dataset
     num_classes = model.cfg.num_classes
     state = OptimizerState.for_model(model)
     log = TrainLog()
@@ -239,7 +238,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
                 with ad.Tape() as tape:
                     for p in model.parameters():
                         tape.watch(p)
-                    logits = model.forward(x, training=True, rng=model_rng)
+                    logits = model.forward(x, rng=model_rng)
                     loss, d_part, c_part = combined_loss_parts(logits, y, num_classes)
                     ad.backward(loss)
             except NonFiniteValue as exc:
@@ -261,7 +260,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
                 cb(record)
 
             if cfg.eval_every and (it + 1) % cfg.eval_every == 0:
-                report = evaluate(model, eval_pairs)
+                report = evaluate(model, dataset)
                 ev = EvalRecord(it, report.dice_avg, report.hd95_avg, report.jaccard_avg)
                 log.evals.append(ev)
                 emit(ev.line())
@@ -320,7 +319,6 @@ def ablation_grid(axis: str) -> tuple[str, list]:
 
 def run_ablation(model_cfg: ModelConfig, train_cfg: TrainConfig,
                  grid: Sequence[tuple[str, dict]], dataset: Sequence[SegmentationPair],
-                 eval_dataset: Optional[Sequence[SegmentationPair]] = None,
                  label_header: str = "Config") -> AblationTable:
     """Train and evaluate one model per grid entry under identical seeds and
     emit a row of (Dice, Hd95, Jaccard) per entry. Override keys are matched
@@ -334,6 +332,6 @@ def run_ablation(model_cfg: ModelConfig, train_cfg: TrainConfig,
         run_train_cfg = replace(train_cfg, **t_over)
         model = build(run_model_cfg)
         train(model, dataset, run_train_cfg)
-        report = evaluate(model, eval_dataset if eval_dataset is not None else dataset)
+        report = evaluate(model, dataset)
         rows.append((label, report.dice_avg, report.hd95_avg, report.jaccard_avg))
     return AblationTable(label_header=label_header, rows=rows)

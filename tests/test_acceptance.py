@@ -91,33 +91,33 @@ def test_criterion_01_gradient_correctness():
     ws = rng.standard_normal((3, 7))
     worst_op["softmax"] = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t, -1), ws)), s)
 
-    mhsa = L.MHSABlock(8, 2, np.random.default_rng(0), dtype=F64)
+    mhsa = L.MHSABlock(8, 2, np.random.default_rng(0))
     zz = t64(rng.standard_normal((1, 3, 8)))
     wz = rng.standard_normal((1, 3, 8))
     worst_op["mhsa"] = grad_check_tensors(
         lambda: ad.reduce_sum(ad.mul(mhsa(zz), wz)), block_tensors(mhsa, zz))
 
-    resmlp = L.ResMLPBlock(8, 10, np.random.default_rng(0), dtype=F64)
+    resmlp = L.ResMLPBlock(8, 10, np.random.default_rng(0))
     worst_op["resmlp"] = grad_check_tensors(
         lambda: ad.reduce_sum(ad.mul(resmlp(zz), wz)), block_tensors(resmlp, zz))
 
-    dense = L.DenseBlock(2, 2, 2, np.random.default_rng(0), dtype=F64)
+    dense = L.DenseBlock(2, 2, 2, np.random.default_rng(0))
     xd = t64(rng.standard_normal((1, 2, 8, 8)))
     wd = rng.standard_normal((1, 6, 8, 8))
     worst_op["dense_block"] = grad_check_tensors(
         lambda: ad.reduce_sum(ad.mul(dense(xd), wd)), block_tensors(dense, xd))
 
-    td = L.TransitionDown(2, 3, np.random.default_rng(0), dtype=F64)
+    td = L.TransitionDown(2, 3, np.random.default_rng(0))
     xtd = t64(rng.standard_normal((1, 2, 4, 4)))
     wtd = rng.standard_normal((1, 3, 2, 2))
     worst_op["transition_down"] = grad_check_tensors(
         lambda: ad.reduce_sum(ad.mul(td(xtd), wtd)), block_tensors(td, xtd))
-    tu = L.TransitionUp(2, 3, np.random.default_rng(0), dtype=F64)
+    tu = L.TransitionUp(2, 3, np.random.default_rng(0))
     wtu = rng.standard_normal((1, 3, 8, 8))
     worst_op["transition_up"] = grad_check_tensors(
         lambda: ad.reduce_sum(ad.mul(tu(xtd), wtu)), block_tensors(tu, xtd))
 
-    clab = L.CLAB(4, 2, 3, np.random.default_rng(0), dtype=F64)
+    clab = L.CLAB(4, 2, 3, np.random.default_rng(0))
     xc = t64(rng.standard_normal((1, 4, 6, 6)))
     wcc = rng.standard_normal((1, 4, 6, 6))
     worst_op["clab"] = grad_check_tensors(
@@ -156,19 +156,19 @@ def test_criterion_02_equation_collapses():
     rng = np.random.default_rng(21)
     z = t64(rng.standard_normal((2, 4, 8)))
 
-    mhsa = L.MHSABlock(8, 2, np.random.default_rng(0), dtype=F64)
+    mhsa = L.MHSABlock(8, 2, np.random.default_rng(0))
     for name, p in mhsa.named_parameters():
         if "norm" not in name:
             p.data[...] = 0.0
     d_attn = np.max(np.abs(mhsa(z).data - z.data))
 
-    resmlp = L.ResMLPBlock(8, 12, np.random.default_rng(0), dtype=F64)
+    resmlp = L.ResMLPBlock(8, 12, np.random.default_rng(0))
     for name, p in resmlp.named_parameters():
         if "norm" not in name:
             p.data[...] = 0.0
     d_mlp = np.max(np.abs(resmlp(z).data - z.data))
 
-    collapse = L.ResMLPBlock(8, 12, np.random.default_rng(0), dtype=F64)
+    collapse = L.ResMLPBlock(8, 12, np.random.default_rng(0))
     collapse.alpha.data[...] = 0.0
     collapse.l2.bias.data[...] = 0.0
     expected = ad.add(collapse.l3(ad.gelu(collapse.norm(z))), z)
@@ -205,13 +205,13 @@ def test_criterion_03_shape_contract_all_patch_sizes():
 
 def test_criterion_04_clab_properties():
     rng = np.random.default_rng(23)
-    gate = L.CLAB(4, 2, 3, np.random.default_rng(0), dtype=F64)
+    gate = L.CLAB(4, 2, 3, np.random.default_rng(0))
     x = t64(rng.standard_normal((2, 4, 6, 6)))
     out = gate(x)
     assert out.shape == x.shape
     assert np.all(gate.last_gate > 0.0) and np.all(gate.last_gate < 1.0)
 
-    zeroed = L.CLAB(4, 2, 3, np.random.default_rng(0), dtype=F64)
+    zeroed = L.CLAB(4, 2, 3, np.random.default_rng(0))
     for mod in (zeroed.gate_conv, zeroed.gate_linear):
         mod.weight.data[...] = 0.0
         mod.bias.data[...] = 0.0

@@ -230,12 +230,12 @@ class TestConvTranspose2d:
             ad.conv_transpose2d(t64(np.zeros((1, 2, 3, 3))), t64(np.zeros((2, 1, 2, 3))))
 
 
-def per_layer_chain(inputs, weights, biases, p, training, rng):
+def per_layer_chain(inputs, weights, biases, p, rng):
     """A dense block as separate tape ops: each layer is conv2d -> gelu ->
     dropout, and its output is concatenated onto everything before it."""
     feats = inputs[0] if len(inputs) == 1 else ad.concat(inputs, axis=1)
     for w, b in zip(weights, biases):
-        new = ad.dropout(ad.gelu(ad.conv2d(feats, w, b)), p, training, rng)
+        new = ad.dropout(ad.gelu(ad.conv2d(feats, w, b)), p, rng)
         feats = ad.concat([feats, new], axis=1)
     return feats
 
@@ -254,7 +254,7 @@ class TestDenseBlock:
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_forward_matches_direct_oracle(self, channels, p, rng):
         inputs, weights, biases = self._case(rng, F64, channels)
-        out = ad.dense_block(inputs, weights, biases, p, True, np.random.default_rng(3))
+        out = ad.dense_block(inputs, weights, biases, p, np.random.default_rng(3))
         expected = dense_block_direct([x.data for x in inputs], [w.data for w in weights],
                                       [b.data for b in biases], p, np.random.default_rng(3) if p else None)
         assert out.shape == (2, sum(channels) + 9, 5, 6)
@@ -272,7 +272,7 @@ class TestDenseBlock:
             with Tape() as tape:
                 for t in tensors:
                     tape.watch(t)
-                out = op(inputs, weights, biases, p, True, np.random.default_rng(3))
+                out = op(inputs, weights, biases, p, np.random.default_rng(3))
                 backward(ad.reduce_sum(ad.mul(out, probe)))
             results.append([out.data] + [t.grad for t in tensors])
         for fused, chain in zip(*results):
@@ -285,21 +285,21 @@ class TestDenseBlock:
         with Tape() as tape:
             tape.watch(a)
             tape.watch(b)
-            out = ad.dense_block([a, b], [], [], 0.5, True, np.random.default_rng(0))
+            out = ad.dense_block([a, b], [], [], 0.5, np.random.default_rng(0))
             backward(ad.reduce_sum(ad.mul(out, probe)))
         assert np.array_equal(out.data, np.concatenate([a.data, b.data], axis=1))
         assert np.array_equal(a.grad, probe[:, :2]) and np.array_equal(b.grad, probe[:, 2:])
 
-    @pytest.mark.parametrize("p, training", [(0.0, False), (0.2, True)])
+    @pytest.mark.parametrize("p, with_rng", [(0.0, False), (0.2, True)])
     @pytest.mark.parametrize("under_tape", [False, True], ids=["no-tape", "tape-nothing-attached"])
-    def test_untaped_peak_is_buffer_plus_one_layer(self, p, training, under_tape, rng):
+    def test_untaped_peak_is_buffer_plus_one_layer(self, p, with_rng, under_tape, rng):
         growth, hw = 4, 64 * 64
         inputs, weights, biases = self._case(rng, F64, (8,), growth=growth, n_layers=6, bsz=1, h=64, w=64)
         tape = Tape()
         tracemalloc.start()
         try:
             with tape if under_tape else contextlib.nullcontext():
-                out = ad.dense_block(inputs, weights, biases, p, training, np.random.default_rng(3))
+                out = ad.dense_block(inputs, weights, biases, p, np.random.default_rng(3) if with_rng else None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,7 +321,7 @@ class TestDenseBlock:
             with Tape() as tape:
                 for t in tensors:
                     tape.watch(t)
-                out = op(inputs, weights, biases, 0.3, True, np.random.default_rng(3))
+                out = op(inputs, weights, biases, 0.3, np.random.default_rng(3))
                 backward(ad.reduce_sum(ad.mul(out, probe)))
             results.append([out.data] + [t.grad for t in tensors])
         one_band, fused, chain = results
@@ -343,7 +343,7 @@ class TestDenseBlock:
                 tape.watch(t)
             tracemalloc.start()
             try:
-                out = ad.dense_block(inputs, weights, biases, p, True, np.random.default_rng(3))
+                out = ad.dense_block(inputs, weights, biases, p, np.random.default_rng(3))
                 kept = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -355,11 +355,11 @@ class TestDenseBlock:
     def test_rejects_mismatched_inputs_and_weights(self, rng):
         inputs, weights, biases = self._case(rng, F64, (2, 1))
         with pytest.raises(ShapeMismatch):
-            ad.dense_block([inputs[0], t64(np.zeros((2, 1, 4, 6)))], weights, biases, 0.0, False)
+            ad.dense_block([inputs[0], t64(np.zeros((2, 1, 4, 6)))], weights, biases, 0.0)
         with pytest.raises(ShapeMismatch):
-            ad.dense_block(inputs[:1], weights, biases, 0.0, False)
+            ad.dense_block(inputs[:1], weights, biases, 0.0)
         with pytest.raises(ShapeMismatch):
-            ad.dense_block(inputs, [t64(np.zeros((3, 3, 1, 1)))], biases[:1], 0.0, False)
+            ad.dense_block(inputs, [t64(np.zeros((3, 3, 1, 1)))], biases[:1], 0.0)
 
 
 class TestElementwise:
@@ -512,15 +512,15 @@ class TestLayerNorm:
 class TestDropout:
     def test_p_zero_is_identity_object(self, rng):
         x = t64(rng.standard_normal(5))
-        assert ad.dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+        assert ad.dropout(x, 0.0, rng=np.random.default_rng(0)) is x
 
     def test_inference_is_identity_object(self, rng):
         x = t64(rng.standard_normal(5))
-        assert ad.dropout(x, 0.9, training=False) is x
+        assert ad.dropout(x, 0.9) is x
 
     def test_inverted_scaling_preserves_mean(self):
         x = t64(np.ones(100_000))
-        out = ad.dropout(x, 0.5, training=True, rng=np.random.default_rng(7))
+        out = ad.dropout(x, 0.5, rng=np.random.default_rng(7))
         assert abs(out.data.mean() - 1.0) < 0.02
         nonzero = out.data[out.data != 0]
         assert np.allclose(nonzero, 2.0)
@@ -531,7 +531,7 @@ class TestDropout:
             tape.watch(x)
             tracemalloc.start()
             try:
-                y = ad.dropout(x, 0.3, True, np.random.default_rng(0))
+                y = ad.dropout(x, 0.3, np.random.default_rng(0))
                 kept = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -542,7 +542,7 @@ class TestDropout:
         w = rng.standard_normal(40)
 
         def f(t):
-            return ad.reduce_sum(ad.mul(ad.dropout(t, 0.25, training=True, rng=np.random.default_rng(3)), w))
+            return ad.reduce_sum(ad.mul(ad.dropout(t, 0.25, rng=np.random.default_rng(3)), w))
 
         assert grad_check(f, x) < 1e-5
 

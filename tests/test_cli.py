@@ -113,6 +113,15 @@ class TestTrainCommand:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "effective_config.txt").exists()
 
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--set", "transformer_layers=-2"]],
+                             ids=["seed", "transformer_layers"])
+    def test_negative_value_is_exit_2_before_the_output_dir(self, flag, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", *model_flags(dataset_dir, out), *flag])
+        assert rc == 2
+        assert "must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_smoke_run_writes_log_and_effective_config(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
         rc = main(["train", *model_flags(dataset_dir, out),
@@ -162,6 +171,19 @@ class TestEvalCommand:
                    "--set", "dataset_dir=/no/such/dir"])
         assert rc == 2
         assert "dataset directory not found: /no/such/dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["int32", "mixed-float"])
+    def test_checkpoint_without_one_float_dtype_is_exit_2(self, case, dataset_dir, tmp_path, capsys):
+        model = build(small_model_config(), dtype=np.float64)
+        if case == "int32":
+            model.astype(np.int32)
+        else:
+            model.head.astype(np.float32)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(model, None, path)
+        rc = main(["eval", "--set", f"checkpoint={path}", "--set", f"dataset_dir={dataset_dir}"])
+        assert rc == 2
+        assert "all float32 or all float64" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_exit_2(self, dataset_dir, capsys):
         rc = main(["eval", "--set", "checkpoint=/no/ckpt",

@@ -198,11 +198,3 @@ class TestDatasetDirectory:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DatasetError):
             D.load_dataset(tmp_path / "nope")
-
-    def test_split_is_deterministic_and_contiguous(self):
-        pairs = D.generate_synthetic(D.SyntheticSpec(n_cases=10, seed=0))
-        t1, e1 = D.split(pairs, 0.8, seed=4)
-        t2, e2 = D.split(pairs, 0.8, seed=4)
-        assert len(t1) == 8 and len(e1) == 2
-        assert [p.case_id for p in t1] == [p.case_id for p in t2]
-        assert [p.case_id for p in e1] == [p.case_id for p in e2]

@@ -3,6 +3,7 @@ registry goldens, the dtype contract of a training step, prediction, class
 activation maps, and checkpoint IO."""
 
 import hashlib
+import inspect
 import os
 import re
 import struct
@@ -17,6 +18,9 @@ import numpy as np
 import pytest
 
 import tfcns.autodiff as ad
+import tfcns.layers as L
+import tfcns.model
+import tfcns.nn as nn
 from conftest import small_model_config, tiny_model_config
 from tfcns.errors import ClassOutOfRange, ConfigInvalid, FormatError, ShapeMismatch, VersionError
 from tfcns.metrics import combined_loss_parts
@@ -113,6 +117,8 @@ class TestBuild:
         dict(mlp_variant="mixer"),
         dict(layers_per_block=(1, 1)),
         dict(dropout_p=1.5),
+        dict(transformer_layers=-2),
+        dict(seed=-1),
     ])
     def test_config_invalid(self, bad):
         with pytest.raises(ConfigInvalid):
@@ -232,7 +238,7 @@ class TestForward:
         with ad.Tape() as tape:
             for p in model.parameters():
                 tape.watch(p)
-            model.forward(x, training=True, rng=np.random.default_rng(0))
+            model.forward(x, rng=np.random.default_rng(0))
             ops = [node.op for node in tape.nodes]
         assert ops.count("dense_block") == len(model.enc_blocks) + len(model.dec_blocks) == 6
         # patch embedding prepends the class token; each gate joins its branch weights
@@ -264,7 +270,7 @@ class TestDtypeContract:
         with ad.Tape() as tape:
             for p in model.parameters():
                 tape.watch(p)
-            logits = model.forward(x, training=True, rng=np.random.default_rng(0))
+            logits = model.forward(x, rng=np.random.default_rng(0))
             loss, _, _ = combined_loss_parts(logits, y, model.cfg.num_classes)
             ad.backward(loss)
         seen.extend(("leaf", p.name, p.grad.dtype) for p in model.parameters())
@@ -284,6 +290,39 @@ class TestDtypeContract:
         model = build(tiny_model_config())
         out = model.forward(rng.standard_normal((1, 1, 16, 16)).astype(np.float32))
         assert out.dtype == np.float32
+
+
+def _module_classes(*modules):
+    return {cls for mod in modules for cls in vars(mod).values()
+            if isinstance(cls, type) and issubclass(cls, nn.Module)}
+
+
+class TestDecidedInOnePlace:
+    """The model alone picks the compute dtype, and a generator alone turns
+    dropout on: no layer takes a dtype, and no forward takes a mode flag."""
+
+    def test_no_layer_takes_dtype_and_no_forward_takes_a_mode_flag(self):
+        for cls in _module_classes(nn, L):
+            assert "dtype" not in inspect.signature(cls.__init__).parameters, cls.__name__
+        forwards = [cls.forward for cls in _module_classes(nn, L, tfcns.model) if hasattr(cls, "forward")]
+        assert L.DenseBlock.forward in forwards and tfcns.model.TFCNsModel.forward in forwards
+        for fn in forwards + [ad.dropout, ad.dense_block]:
+            flags = {"training", "return_features"} & inspect.signature(fn).parameters.keys()
+            assert not flags, (fn.__qualname__, flags)
+
+    def test_float32_build_is_the_float64_build_rounded(self):
+        cfg = ModelConfig(num_classes=9, input_size=32)
+        p32 = build(cfg, dtype=np.float32).named_parameters()
+        p64 = build(cfg, dtype=np.float64).named_parameters()
+        for (n32, a), (n64, b) in zip(p32, p64, strict=True):
+            assert n32 == n64 and a.dtype == np.float32 and b.dtype == np.float64, n32
+            assert np.array_equal(a.data, b.data.astype(np.float32)), n32
+
+    def test_bare_layers_hold_float64_until_cast(self):
+        gate = L.CLAB(4, 2, 3, np.random.default_rng(0))
+        assert {p.dtype for p in gate.parameters()} == {np.dtype(np.float64)}
+        assert gate.astype(np.float32) is gate
+        assert {p.dtype for p in gate.parameters()} == {np.dtype(np.float32)}
 
 
 class TestPredict:
@@ -321,7 +360,7 @@ class TestCAM:
         model = build(tiny_model_config())
         x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
         cam = class_activation_map(model, x, 1)
-        _, feats = model.forward(x, return_features=True)
+        feats = model.features(x)
         w = model.head.weight.data[1, :, 0, 0]
         raw = np.maximum(np.tensordot(feats.data, w, axes=([1], [0])), 0.0)
         span = raw.max() - raw.min()
@@ -405,6 +444,18 @@ class TestCheckpoint:
         assert [(n, p.dtype) for n, p in restored.named_parameters()] == \
             [(n, p.dtype) for n, p in model.named_parameters()]
         assert np.array_equal(restored.forward(x).data, before)
+
+    @pytest.mark.parametrize("case", ["int32", "mixed-float"])
+    def test_restore_requires_one_float_dtype(self, case, tmp_path):
+        if case == "int32":
+            model = build(tiny_model_config()).astype(np.int32)
+        else:
+            model = build(tiny_model_config(), dtype=np.float64)
+            model.head.astype(np.float32)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, None, path)
+        with pytest.raises(FormatError, match="all float32 or all float64"):
+            model_from_checkpoint(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = build(tiny_model_config())

@@ -118,6 +118,8 @@ class TestLrSchedule:
             TrainConfig(lr_decay_factor=0.0).validate()
         with pytest.raises(ConfigInvalid):
             TrainConfig(lr=-1.0).validate()
+        with pytest.raises(ConfigInvalid, match="seed"):
+            TrainConfig(seed=-1).validate()
 
 
 def synthetic_pair(h=8, w=8):
