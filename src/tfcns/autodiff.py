@@ -87,6 +87,7 @@ class TapeNode:
     input_ids: tuple
     output_id: int
     backward: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
+    writes_grad: bool = False  # backward adds into its g, so it must own g (see backward())
 
 
 @dataclass
@@ -146,17 +147,22 @@ def _recorder(inputs: Sequence) -> Optional[tuple[Tape, tuple]]:
 
 def _out(op: str, inputs: Sequence, data: np.ndarray, backward) -> Tensor:
     """Wrap an op result; record a tape node if the active tape records it."""
+    return _wrap_out(op, _recorder(inputs), data, backward)
+
+
+def _wrap_out(op: str, record: Optional[tuple[Tape, tuple]], data: np.ndarray, backward,
+              writes_grad: bool = False) -> Tensor:
+    """Wrap an op result; append a tape node given ``_recorder``'s (tape, input ids)."""
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = _contig(data)
     out.grad = None
     out.tape_id = None
     out._tape = None
-    record = _recorder(inputs)
     if record is not None:
         tape, ids = record
         out._tape, out.tape_id = tape, tape._alloc()
-        tape.nodes.append(TapeNode(op, ids, out.tape_id, backward))
+        tape.nodes.append(TapeNode(op, ids, out.tape_id, backward, writes_grad))
     return out
 
 
@@ -277,9 +283,10 @@ def gelu(a: Tensor) -> Tensor:
     When a tape records it, the node keeps only the slope, computed in the
     forward; the input and the CDF are not kept."""
     data, cdf = _gelu_forward(a.data)
-    slope = _gelu_slope(a.data, cdf) if _recorder((a,)) is not None else None
+    record = _recorder((a,))
+    slope = _gelu_slope(a.data, cdf) if record is not None else None
     del cdf
-    return _out("gelu", (a,), data, lambda g: (g * slope,))
+    return _wrap_out("gelu", record, data, lambda g: (g * slope,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -518,31 +525,37 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _out("conv2d", (x, w, b), data, lambda g: _conv2d_backward(g, ctx))
 
 
-def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
+def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
                 dropout_p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
     """FC-DenseNet block as one op over a shared feature buffer (Pleiss et al.,
     arXiv:1707.06990): the inputs fill the first C0 channels of one
     B x (C0 + L*g) x H x W buffer F, and layer i writes dropout(gelu(conv3x3))
     of the channel-prefix view F[:, :C0 + i*g] into the next g channels.
     Dropout runs when given a generator.
-    Backward walks the layers in reverse over one copy of the output gradient,
-    adding each layer's input gradient into its prefix in place, band by band
-    (no full-size input gradient is built). When a tape records the node it
-    keeps F and, per layer, the GELU slope and the bool dropout keep mask:
-    (itemsize + 1) bytes per element of the layer's slot. Otherwise each
-    layer's arrays are freed once it is done."""
-    xs = [t.data for t in inputs]
-    if any(x.ndim != 4 or x.shape[0] != xs[0].shape[0] or x.shape[2:] != xs[0].shape[2:] for x in xs):
-        raise ShapeMismatch(f"dense_block inputs differ in batch or map size: {[x.shape for x in xs]}")
-    sizes = [x.shape[1] for x in xs]
+    The op consumes ``inputs``: once they are copied into F it empties the
+    list, and no backward reads them, so an input that nothing else
+    references is freed before the first layer's conv.
+    Backward walks the layers in reverse, adding each layer's input gradient
+    into its prefix of the output gradient in place, band by band (no
+    full-size input gradient is built). Its node writes into its gradient, so
+    backward() hands it an array it owns and copies one only if it is not.
+    When a tape records the node it keeps F and, per layer, the GELU slope
+    and the bool dropout keep mask: (itemsize + 1) bytes per element of the
+    layer's slot. Otherwise each layer's arrays are freed once it is done."""
+    shapes = [t.shape for t in inputs]
+    if any(len(s) != 4 or s[0] != shapes[0][0] or s[2:] != shapes[0][2:] for s in shapes):
+        raise ShapeMismatch(f"dense_block inputs differ in batch or map size: {shapes}")
+    sizes = [s[1] for s in shapes]
     c0 = sum(sizes)
     growth = weights[0].shape[0] if weights else 0
     if any(w.shape[0] != growth or w.shape[2:] != (3, 3) for w in weights):
         raise ShapeMismatch(f"dense_block layer weights {[w.shape for w in weights]} are not g x C x 3 x 3")
-    feats = np.empty((xs[0].shape[0], c0 + len(weights) * growth, *xs[0].shape[2:]), np.result_type(*xs))
-    np.concatenate(xs, axis=1, out=feats[:, :c0])
-    operands = (*inputs, *weights, *biases)
-    saved = [] if _recorder(operands) is not None else None
+    record = _recorder((*inputs, *weights, *biases))
+    feats = np.empty((shapes[0][0], c0 + len(weights) * growth, *shapes[0][2:]),
+                     np.result_type(*(t.data for t in inputs)))
+    np.concatenate([t.data for t in inputs], axis=1, out=feats[:, :c0])
+    inputs.clear()
+    saved = [] if record is not None else None
     for i, (w, b) in enumerate(zip(weights, biases)):
         lo = c0 + i * growth
         z, ctx = _conv2d_forward(feats[:, :lo], w.data, None if b is None else b.data)
@@ -554,20 +567,19 @@ def dense_block(inputs: Sequence[Tensor], weights: Sequence[Tensor], biases: Seq
         del z, cdf, y, keep  # this layer's working arrays go before the next conv
 
     def backward(g):
-        gfeats = g.copy()
         gws, gbs = [None] * len(saved), [None] * len(saved)
         while saved:  # popping frees each layer's slope and mask once used
             ctx, slope, keep = saved.pop()
             i = len(saved)
             lo = c0 + i * growth
             scale = 1.0 if keep is None else _dropout_scale(keep, dropout_p, g.dtype)
-            gz = gfeats[:, lo:lo + growth] * scale  # (g * mask) * slope, rounded as dropout then gelu
+            gz = g[:, lo:lo + growth] * scale  # (g * mask) * slope, rounded as dropout then gelu
             gz *= slope
             del slope, keep, scale
-            _, gws[i], gbs[i] = _conv2d_backward(gz, ctx, gfeats[:, :lo])
-        return (*np.split(gfeats[:, :c0], np.cumsum(sizes)[:-1], axis=1), *gws, *gbs)
+            _, gws[i], gbs[i] = _conv2d_backward(gz, ctx, g[:, :lo])
+        return (*np.split(g[:, :c0], np.cumsum(sizes)[:-1], axis=1), *gws, *gbs)
 
-    return _out("dense_block", operands, feats, backward)
+    return _wrap_out("dense_block", record, feats, backward, writes_grad=True)
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -698,6 +710,18 @@ def backward(loss: Tensor) -> None:
 
     Unreachable watched leaves receive zero gradients. The tape is consumed in
     reverse topological order: each node is freed once used; a second call raises.
+
+    A pending gradient is *owned* when nothing else holds it, so it may be
+    written in place. It is owned if the engine allocated it (the loss seed,
+    or the sum for an id reached more than once), or if one node returned it
+    for exactly one input, it is no view (``base is None``) and it is not the
+    same object as another gradient of that node (``add(a, b)`` hands one
+    array to both). A node that hands its own ``g`` on (``add`` with a
+    constant, ``sub``'s first operand) passes ownership only if ``g`` was
+    owned. A repeated id is summed with ``+=`` into an owned entry whose dtype
+    holds the sum (the same bits as a new sum), else into a new array. A node
+    that writes into its gradient (``dense_block``) gets an owned ``g``: the
+    engine copies ``g`` first only if it is not owned.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -706,18 +730,30 @@ def backward(loss: Tensor) -> None:
         raise DetachedTensor("loss tensor is not attached to a tape, or backward() already consumed it")
     tape.consumed = True
     grads = {loss.tape_id: np.ones_like(loss.data)}
+    owned = {loss.tape_id}
     while tape.nodes:  # popping frees each node's closure and activations once used
         node = tape.nodes.pop()
         g = grads.pop(node.output_id, None)
         if g is None:
             continue
-        for tid, gin in zip(node.input_ids, node.backward(g)):
-            if tid is None or gin is None:
-                continue
-            if tid in grads:
-                grads[tid] = grads[tid] + gin
-            else:
+        g_owned = node.output_id in owned
+        owned.discard(node.output_id)
+        if node.writes_grad and not g_owned:
+            g, g_owned = g.copy(), True
+        pending = [(tid, gin) for tid, gin in zip(node.input_ids, node.backward(g))
+                   if tid is not None and gin is not None]
+        objs = [id(gin) for _, gin in pending]
+        for tid, gin in pending:
+            mine = objs.count(id(gin)) == 1 and (g_owned if gin is g else gin.base is None)
+            if tid not in grads:
                 grads[tid] = gin
+                if mine:
+                    owned.add(tid)
+            elif tid in owned and grads[tid].dtype == np.result_type(grads[tid], gin):
+                grads[tid] += gin
+            else:
+                grads[tid] = grads[tid] + gin
+                owned.add(tid)
     for leaf in tape._watched:
         g = grads.pop(leaf.tape_id, None)  # so a non-contiguous gradient goes once copied
         if g is None:

@@ -28,7 +28,8 @@ class DenseBlock(Module):
     Each internal layer is conv3x3 -> GELU -> dropout, with no normalization.
     It runs as one ``ad.dense_block`` op over a shared feature buffer, so no
     layer concatenates; ``convs`` only hold the weights. The input may be a
-    list of maps (a decoder block takes the upsampled map and the gated skip).
+    list of maps (a decoder block takes the upsampled map and the gated skip);
+    the block empties that list once the maps are copied into its buffer.
     """
 
     def __init__(self, in_channels: int, growth_rate: int, n_layers: int,
@@ -46,8 +47,7 @@ class DenseBlock(Module):
         return self.in_channels + self.n_layers * self.growth_rate
 
     def forward(self, x, rng: Optional[np.random.Generator] = None) -> Tensor:
-        inputs = list(x) if isinstance(x, (list, tuple)) else [x]
-        return ad.dense_block(inputs, [conv.weight for conv in self.convs],
+        return ad.dense_block(x if isinstance(x, list) else [x], [conv.weight for conv in self.convs],
                               [conv.bias for conv in self.convs], self.dropout_p, rng)
 
 

@@ -230,9 +230,12 @@ class TFCNsModel(Module):
                 f"configured {cfg.input_size}x{cfg.input_size}"
             )
 
+        # A dense block empties its input list once copied, so no name here
+        # keeps a block's inputs alive during its call.
         y = self.stem(x)
         skips = []
         for block, down in zip(self.enc_blocks, self.trans_down):
+            y = [y]
             y = block(y, rng)
             skips.append(y)
             y = down(y)
@@ -247,7 +250,9 @@ class TFCNsModel(Module):
             y = up(y)
             if gate is not None:
                 skip = gate(skip)
-            y = block([y, skip], rng)
+            y = [y, skip]
+            del skip
+            y = block(y, rng)
         return y
 
 

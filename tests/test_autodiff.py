@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tfcns.autodiff as ad
+import tfcns.layers as L
 from tfcns.autodiff import Tape, Tensor, backward, grad_check, grad_check_tensors
 from tfcns.errors import DetachedTensor, NonFiniteValue, NotScalar, ShapeMismatch
 
@@ -254,7 +255,7 @@ class TestDenseBlock:
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_forward_matches_direct_oracle(self, channels, p, rng):
         inputs, weights, biases = self._case(rng, F64, channels)
-        out = ad.dense_block(inputs, weights, biases, p, np.random.default_rng(3))
+        out = ad.dense_block(list(inputs), weights, biases, p, np.random.default_rng(3))
         expected = dense_block_direct([x.data for x in inputs], [w.data for w in weights],
                                       [b.data for b in biases], p, np.random.default_rng(3) if p else None)
         assert out.shape == (2, sum(channels) + 9, 5, 6)
@@ -272,7 +273,7 @@ class TestDenseBlock:
             with Tape() as tape:
                 for t in tensors:
                     tape.watch(t)
-                out = op(inputs, weights, biases, p, np.random.default_rng(3))
+                out = op(list(inputs), weights, biases, p, np.random.default_rng(3))
                 backward(ad.reduce_sum(ad.mul(out, probe)))
             results.append([out.data] + [t.grad for t in tensors])
         for fused, chain in zip(*results):
@@ -321,7 +322,7 @@ class TestDenseBlock:
             with Tape() as tape:
                 for t in tensors:
                     tape.watch(t)
-                out = op(inputs, weights, biases, 0.3, np.random.default_rng(3))
+                out = op(list(inputs), weights, biases, 0.3, np.random.default_rng(3))
                 backward(ad.reduce_sum(ad.mul(out, probe)))
             results.append([out.data] + [t.grad for t in tensors])
         one_band, fused, chain = results
@@ -352,6 +353,38 @@ class TestDenseBlock:
         assert kept < out.data.nbytes + n_layers * slot * (np.dtype(dtype).itemsize + 1) + 64 * 1024
         assert len(tape.nodes) == 1
 
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    @pytest.mark.parametrize("via", ["op", "layer"])
+    def test_inputs_are_freed_before_the_first_conv(self, taped, via, rng, monkeypatch):
+        block = L.DenseBlock(5, 3, 2, np.random.default_rng(0))
+        weights, biases = [c.weight for c in block.convs], [c.bias for c in block.convs]
+        leaves = [t64(rng.standard_normal((2, c, 5, 6))) for c in (3, 2)]
+        first_conv = []
+        real_conv = ad._conv2d_forward
+
+        def conv(xd, wd, bd):
+            if not first_conv:
+                first_conv.append([ref() is None for ref in refs])
+            return real_conv(xd, wd, bd)
+
+        monkeypatch.setattr(ad, "_conv2d_forward", conv)
+        with Tape() if taped else contextlib.nullcontext() as tape:
+            if taped:
+                for t in leaves + weights + biases:
+                    tape.watch(t)
+            inputs = [ad.mul(t, 2.0) for t in leaves]  # the tape keeps leaves, not op outputs
+            refs = [weakref.ref(t.data) for t in inputs]
+            if via == "op":
+                out = ad.dense_block(inputs, weights, biases, 0.2, np.random.default_rng(3))
+            else:
+                out = block(inputs, np.random.default_rng(3))
+            assert inputs == [] and first_conv == [[True, True]]
+            if taped:  # the node still records its input ids, so gradients reach the leaves
+                node = tape.nodes[-1]
+                assert node.op == "dense_block" and None not in node.input_ids[:2]
+                backward(ad.reduce_sum(out))
+                assert all(np.all(t.grad != 0) for t in leaves)
+
     def test_rejects_mismatched_inputs_and_weights(self, rng):
         inputs, weights, biases = self._case(rng, F64, (2, 1))
         with pytest.raises(ShapeMismatch):
@@ -360,6 +393,122 @@ class TestDenseBlock:
             ad.dense_block(inputs[:1], weights, biases, 0.0)
         with pytest.raises(ShapeMismatch):
             ad.dense_block(inputs, [t64(np.zeros((3, 3, 1, 1)))], biases[:1], 0.0)
+
+
+def copying_dense_block(inputs, weights, biases, p, rng):
+    """dense_block whose backward copies its gradient before adding into it,
+    on a node that does not ask backward() for an owned array."""
+    out = ad.dense_block(inputs, weights, biases, p, rng)
+    node = out._tape.nodes[-1]
+    assert node.output_id == out.tape_id and node.writes_grad
+    inner = node.backward
+    node.backward, node.writes_grad = (lambda g: inner(g.copy())), False
+    return out
+
+
+class TestGradientOwnership:
+    """dense_block adds into the gradient it receives, so backward() must hand
+    it an array nothing else holds. Each graph runs with dense_block and with
+    a copying dense_block, and, where its sums associate the same way, with
+    the per-layer chain (which writes into no gradient it receives); every
+    gradient must match bit for bit."""
+
+    @staticmethod
+    def _block(rng, channels, growth=3, n_layers=2):
+        return TestDenseBlock._case(rng, F64, channels, growth=growth, n_layers=n_layers)
+
+    @staticmethod
+    def _assert_same_grads(graph, tensors, chain=True):
+        results = []
+        for op in (ad.dense_block, copying_dense_block) + ((per_layer_chain,) if chain else ()):
+            with Tape() as tape:
+                for t in tensors:
+                    tape.watch(t)
+                backward(graph(op))
+            results.append([t.grad for t in tensors])
+        for fused, *others in zip(*results):
+            assert all(np.array_equal(fused, other) for other in others)
+
+    def test_one_gradient_reaching_two_blocks(self, rng):
+        ins_a, w_a, b_a = self._block(rng, (4,))
+        ins_b, w_b, b_b = self._block(rng, (3, 1))
+        probe = rng.standard_normal((2, 10, 5, 6))
+
+        def graph(op):  # add hands the one array mul's backward made to both blocks
+            out_a = op(list(ins_a), w_a, b_a, 0.3, np.random.default_rng(1))
+            out_b = op(list(ins_b), w_b, b_b, 0.3, np.random.default_rng(2))
+            return ad.reduce_sum(ad.mul(ad.add(out_a, out_b), probe))
+
+        self._assert_same_grads(graph, ins_a + w_a + b_a + ins_b + w_b + b_b)
+
+    def test_output_fanning_out_to_two_ops(self, rng):
+        inputs, weights, biases = self._block(rng, (3, 2))
+        p1, p2 = rng.standard_normal((2, 2, 11, 5, 6))
+
+        def graph(op):  # the block's gradient is a sum of two, added in place
+            out = op(list(inputs), weights, biases, 0.3, np.random.default_rng(1))
+            return ad.add(ad.reduce_sum(ad.mul(out, p1)), ad.reduce_sum(ad.mul(ad.sigmoid(out), p2)))
+
+        self._assert_same_grads(graph, inputs + weights + biases)
+
+    def test_output_fanning_out_to_two_blocks(self, rng):
+        inputs, weights, biases = self._block(rng, (4,))
+        _, w_a, b_a = self._block(rng, (10,))
+        _, w_b, b_b = self._block(rng, (10, 2))
+        side = t64(rng.standard_normal((2, 2, 5, 6)))
+        p_a, p_b = rng.standard_normal((2, 16, 5, 6)), rng.standard_normal((2, 18, 5, 6))
+
+        def graph(op):  # each consumer hands back a view of its own gradient
+            out = op(list(inputs), weights, biases, 0.3, np.random.default_rng(1))
+            out_a = op([out], w_a, b_a, 0.3, np.random.default_rng(2))
+            out_b = op([out, side], w_b, b_b, 0.3, np.random.default_rng(3))
+            return ad.add(ad.reduce_sum(ad.mul(out_a, p_a)), ad.reduce_sum(ad.mul(out_b, p_b)))
+
+        # the chain sums the shared input's gradient over more nodes, in another order
+        self._assert_same_grads(graph, inputs + weights + biases + w_a + b_a + w_b + b_b + [side], chain=False)
+
+    def test_reshaped_output(self, rng):
+        inputs, weights, biases = self._block(rng, (4,))
+        probe = rng.standard_normal((2, 10 * 5 * 6))
+
+        def graph(op):  # the block receives a view of reshape's gradient
+            out = op(list(inputs), weights, biases, 0.3, np.random.default_rng(1))
+            return ad.reduce_sum(ad.mul(ad.reshape(out, (2, -1)), probe))
+
+        self._assert_same_grads(graph, inputs + weights + biases)
+
+    def test_gradient_passed_on_by_add_with_a_constant(self, rng):
+        inputs, weights, biases = self._block(rng, (4,))
+        probe = rng.standard_normal((2, 10, 5, 6))
+
+        def graph(op):  # add hands its owned gradient to its one tensor operand
+            out = op(list(inputs), weights, biases, 0.3, np.random.default_rng(1))
+            return ad.reduce_sum(ad.mul(ad.add(ad.sub(out, 0.5), probe), probe))
+
+        self._assert_same_grads(graph, inputs + weights + biases)
+
+    def test_shared_gradient_handed_on_by_sub_with_a_constant(self, rng):
+        ins_a, w_a, b_a = self._block(rng, (4,))
+        ins_b, w_b, b_b = self._block(rng, (3, 1))
+        probe = rng.standard_normal((2, 10, 5, 6))
+
+        def graph(op):  # sub hands on the array add hands to out_b too; block a runs first in backward
+            out_b = op(list(ins_b), w_b, b_b, 0.3, np.random.default_rng(2))
+            out_a = op(list(ins_a), w_a, b_a, 0.3, np.random.default_rng(1))
+            return ad.reduce_sum(ad.mul(ad.add(ad.sub(out_a, 0.5), out_b), probe))
+
+        self._assert_same_grads(graph, ins_a + w_a + b_a + ins_b + w_b + b_b)
+
+    def test_one_array_handed_to_two_inputs_is_not_summed_into(self, rng):
+        x, z = t64(rng.standard_normal((3, 4))), t64(rng.standard_normal((3, 4)))
+        w = rng.standard_normal((3, 4))
+        with Tape() as tape:
+            tape.watch(x)
+            tape.watch(z)
+            mx, mz = ad.mul(x, w), ad.mul(z, w)
+            s = ad.add(x, z)  # its backward hands one array to x and to z, before mx and mz
+            backward(ad.reduce_sum(ad.mul(ad.add(ad.add(s, mx), mz), w)))
+        assert np.array_equal(x.grad, w + w * w) and np.array_equal(z.grad, w + w * w)
 
 
 class TestElementwise:

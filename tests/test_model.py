@@ -2,6 +2,7 @@
 registry goldens, the dtype contract of a training step, prediction, class
 activation maps, and checkpoint IO."""
 
+import contextlib
 import hashlib
 import inspect
 import os
@@ -9,6 +10,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -232,6 +234,39 @@ class TestForward:
         n = len(skips)
         assert alive == [[s < n - 1 - i for s in range(n)] for i in range(n)]
 
+    @pytest.mark.parametrize("taped", [False, True], ids=["no-tape", "tape"])
+    @pytest.mark.parametrize("gate", ["clab", "cuab_like", "none"])
+    def test_every_block_input_is_freed_before_the_blocks_first_conv(self, gate, taped, rng, monkeypatch):
+        model = build(tiny_model_config(skip_attention=gate, dropout_p=0.1))
+        pending, freed = [], []
+        real_conv = ad._conv2d_forward
+
+        def conv(xd, wd, bd):
+            if pending:  # the first conv of the block that set them
+                freed.append([ref() is None for ref in pending])
+                pending.clear()
+            return real_conv(xd, wd, bd)
+
+        def watch_inputs(forward):
+            def run(x, rng=None):
+                pending[:] = [weakref.ref(t.data) for t in x]
+                return forward(x, rng)
+            return run
+
+        monkeypatch.setattr(ad, "_conv2d_forward", conv)
+        for block in model.enc_blocks + model.dec_blocks:
+            block.forward = watch_inputs(block.forward)
+        x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
+        with ad.Tape() if taped else contextlib.nullcontext() as tape:
+            if taped:
+                for p in model.parameters():
+                    tape.watch(p)
+            model.forward(x, rng=np.random.default_rng(0))
+        # ungated, a decoder block's skip is an encoder block's output, which the
+        # tape keeps for the backward of the transition-down conv that read it
+        skip_freed = not (taped and gate == "none")
+        assert freed == [[True]] * len(model.enc_blocks) + [[True, skip_freed]] * len(model.dec_blocks)
+
     def test_tape_has_one_dense_block_node_per_block_and_no_join_concat(self, rng):
         model = build(tiny_model_config(dropout_p=0.1))
         x = rng.standard_normal((1, 1, 16, 16)).astype(np.float32)
@@ -245,6 +280,59 @@ class TestForward:
         assert ops.count("concat") == 1 + len(model.skip_gates)
 
 
+class TestDenseBlockMemory:
+    """A dense block keeps its shared buffer and nothing else: its inputs go
+    once copied, and its backward adds into the gradient it is handed."""
+
+    def test_paper_default_224_forward_peak(self, rng):
+        model = build(ModelConfig(num_classes=9))
+        x = rng.standard_normal((1, 1, 224, 224)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # reached while the last decoder block copies its inputs: its 38.5 MB
+        # buffer, the upsampled map and the gated skip (14.45 MB each) and the
+        # 3 MB the model keeps between stages
+        assert peak < 72e6
+
+    def test_last_decoder_block_backward_allocates_no_copy_of_its_gradient(self, rng):
+        size = 128
+        model = build(ModelConfig(num_classes=9, input_size=size))
+        x = rng.standard_normal((1, 1, size, size)).astype(np.float32)
+        y = rng.integers(0, 9, size=(1, size, size))
+        seen = {}
+        with ad.Tape() as tape:
+            for p in model.parameters():
+                tape.watch(p)
+            loss = combined_loss_parts(model.forward(x, rng=np.random.default_rng(0)), y, 9)[0]
+            k = max(i for i, node in enumerate(tape.nodes) if node.op == "dense_block")
+            block, head = tape.nodes[k], tape.nodes[k + 1]
+            assert head.op == "conv2d" and head.input_ids[0] == block.output_id
+            head_backward, block_backward = head.backward, block.backward
+
+            def traced_head(g):  # trace from the head's gradients to the block's
+                grads = head_backward(g)
+                tracemalloc.start()
+                return grads
+
+            def traced_block(g):
+                seen["out"] = g.nbytes
+                grads = block_backward(g)
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+                return grads
+
+            head.backward, block.backward = traced_head, traced_block
+            try:
+                ad.backward(loss)
+            finally:
+                tracemalloc.stop()
+        # per layer: its slot's gradient and dropout multiplier, and one band
+        assert seen["peak"] < seen["out"] / 2
+
+
 class TestDtypeContract:
     """Every op output and every gradient of a training step keeps the model's
     dtype, so no constant can silently promote a float32 model to float64."""
@@ -252,9 +340,9 @@ class TestDtypeContract:
     @staticmethod
     def _training_step_dtypes(monkeypatch, model, rng):
         seen = []
-        real_out = ad._out
+        real_wrap_out = ad._wrap_out
 
-        def recording_out(op, inputs, data, backward):
+        def recording_wrap_out(op, record, data, backward, writes_grad=False):
             seen.append((op, "forward", data.dtype))
 
             def recording_backward(g):
@@ -262,9 +350,9 @@ class TestDtypeContract:
                 seen.extend((op, "backward", gi.dtype) for gi in grads if gi is not None)
                 return grads
 
-            return real_out(op, inputs, data, recording_backward)
+            return real_wrap_out(op, record, data, recording_backward, writes_grad)
 
-        monkeypatch.setattr(ad, "_out", recording_out)
+        monkeypatch.setattr(ad, "_wrap_out", recording_wrap_out)
         x = rng.standard_normal((2, 1, 16, 16)).astype(model.dtype)
         y = rng.integers(0, model.cfg.num_classes, size=(2, 16, 16))
         with ad.Tape() as tape:
@@ -274,7 +362,7 @@ class TestDtypeContract:
             loss, _, _ = combined_loss_parts(logits, y, model.cfg.num_classes)
             ad.backward(loss)
         seen.extend(("leaf", p.name, p.grad.dtype) for p in model.parameters())
-        assert any(op == "dropout" for op, _, _ in seen)
+        assert {"dropout", "gelu", "dense_block"} <= {op for op, _, _ in seen}
         assert any(kind == "backward" for _, kind, _ in seen)
         return seen
 
