@@ -179,10 +179,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _as_array(x, like: Tensor):
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=like.data.dtype)
+def _binary(op: str, a: Tensor, b, data_fn, grad_a, grad_b) -> Tensor:
+    """Elementwise ``data_fn(a, b)`` under numpy broadcasting. ``b`` may be a
+    Tensor, an array or a Python scalar; a non-Tensor ``b`` is cast to ``a``'s
+    dtype and gets no gradient. ``grad_a(g, a, b)`` and ``grad_b(g, a, b)``
+    give each operand's gradient at the broadcast shape, and backward sums
+    each back to its operand's shape. A ``grad_a`` that returns ``g`` itself
+    hands ``g`` on uncopied (see backward())."""
+    xd = a.data
+    yd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=xd.dtype)
+
+    def backward(g):
+        ga = _unbroadcast(grad_a(g, xd, yd), xd.shape)
+        gb = _unbroadcast(grad_b(g, xd, yd), yd.shape) if isinstance(b, Tensor) else None
+        return ga, gb
+
+    return _out(op, (a, b), data_fn(xd, yd), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -190,60 +202,20 @@ def _as_array(x, like: Tensor):
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b) -> Tensor:
-    bd = _as_array(b, a)
-    data = a.data + bd
-
-    def backward(g):
-        ga = _unbroadcast(g, a.data.shape)
-        gb = _unbroadcast(g, bd.shape) if isinstance(b, Tensor) else None
-        return ga, gb
-
-    return _out("add", (a, b), data, backward)
+    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    bd = _as_array(b, a)
-    data = a.data - bd
-
-    def backward(g):
-        ga = _unbroadcast(g, a.data.shape)
-        gb = -_unbroadcast(g, bd.shape) if isinstance(b, Tensor) else None
-        return ga, gb
-
-    return _out("sub", (a, b), data, backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _out("neg", (a,), -a.data, lambda g: (-g,))
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    bd = _as_array(b, a)
-    data = a.data * bd
-
-    def backward(g):
-        ga = _unbroadcast(g * bd, a.data.shape)
-        gb = _unbroadcast(g * a.data, bd.shape) if isinstance(b, Tensor) else None
-        return ga, gb
-
-    return _out("mul", (a, b), data, backward)
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a: Tensor, b) -> Tensor:
-    bd = _as_array(b, a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / bd
-
-    def backward(g):
-        ga = _unbroadcast(g / bd, a.data.shape)
-        gb = (
-            _unbroadcast(-g * a.data / (bd * bd), bd.shape)
-            if isinstance(b, Tensor)
-            else None
-        )
-        return ga, gb
-
-    return _out("div", (a, b), data, backward)
+        return _binary("div", a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -380,9 +352,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
     src_shape = a.data.shape
-    n = a.data.size if axis is None else int(
-        np.prod([src_shape[ax % len(src_shape)] for ax in ((axis,) if isinstance(axis, int) else axis)])
-    )
+    n = a.data.size // data.size
     return _out("mean", (a,), data, lambda g: (_unreduce(g / n, src_shape, axis, keepdims),))
 
 
@@ -401,24 +371,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"matmul needs rank >= 2 operands, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeMismatch(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
-    if bd.ndim == 2:
-        data = ad @ bd
-
-        def backward(g):
-            ga = g @ bd.swapaxes(-1, -2)
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, gb
-
-    elif ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]:
-        data = ad @ bd
-
-        def backward(g):
-            ga = g @ bd.swapaxes(-1, -2)
-            gb = ad.swapaxes(-1, -2) @ g
-            return ga, gb
-
-    else:
+    if bd.ndim != 2 and ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeMismatch(f"matmul leading dims differ: {ad.shape} @ {bd.shape}")
+    data = ad @ bd
+
+    def backward(g):
+        ga = g @ bd.swapaxes(-1, -2)
+        if bd.ndim == 2:  # one matrix for every leading slot: sum its gradient over them
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = ad.swapaxes(-1, -2) @ g
+        return ga, gb
+
     return _out("matmul", (a, b), data, backward)
 
 

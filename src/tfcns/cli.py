@@ -29,6 +29,8 @@ from .errors import (
     VersionError,
 )
 from .model import (
+    MLP_VARIANT_CHOICES,
+    SKIP_ATTENTION_CHOICES,
     ModelConfig,
     TFCNsModel,
     build,
@@ -36,7 +38,7 @@ from .model import (
     model_from_checkpoint,
     predict,
 )
-from .training import TrainConfig, ablation_grid, evaluate, refuse_existing_log, run_ablation, train
+from .training import ABLATION_AXES, TrainConfig, ablation_grid, evaluate, refuse_existing_log, run_ablation, train
 
 _MODEL_KINDS = config_kinds(ModelConfig)
 _TRAIN_KINDS = config_kinds(TrainConfig)
@@ -57,8 +59,8 @@ _HELP = {
     "n_heads": "attention heads",
     "resmlp_hidden": "feed-forward hidden width, or 'auto'",
     "dropout_p": "dropout probability in blocks",
-    "skip_attention": "skip gate: none | clab | cuab_like",
-    "mlp_variant": "feed-forward variant: resmlp | plain_mlp",
+    "skip_attention": "skip gate: " + " | ".join(SKIP_ATTENTION_CHOICES),
+    "mlp_variant": "feed-forward variant: " + " | ".join(MLP_VARIANT_CHOICES),
     "clab_branches": "gate branch count",
     "clab_kernels": "kernels per gate branch, or 'auto'",
     "seed": "seed for init, batching, augmentation, dropout",
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="run one ablation axis", epilog=epilog, formatter_class=fmt)
     common(p_abl)
-    p_abl.add_argument("--axis", choices=("patch", "mlp", "skip"), required=True)
+    p_abl.add_argument("--axis", choices=tuple(ABLATION_AXES), required=True)
     p_abl.set_defaults(fn=cmd_ablate)
     return parser
 

@@ -208,6 +208,9 @@ class PlainMLPBlock(Module):
         return ad.add(out, z)
 
 
+MLP_BLOCKS = {"resmlp": ResMLPBlock, "plain_mlp": PlainMLPBlock}
+
+
 class RLTransformerEncoder(Module):
     """L repetitions of (attention block, feed-forward block), then a final
     layer norm. With mlp_variant="plain_mlp" the feed-forward half becomes a
@@ -216,16 +219,13 @@ class RLTransformerEncoder(Module):
     def __init__(self, embed_dim: int, depth: int, n_heads: int, hidden_dim: int,
                  rng: np.random.Generator, dropout_p: float = 0.0,
                  mlp_variant: str = "resmlp"):
-        if mlp_variant not in ("resmlp", "plain_mlp"):
+        if mlp_variant not in MLP_BLOCKS:
             raise ConfigInvalid(f"unknown mlp_variant {mlp_variant!r}")
         self.attn_blocks = []
         self.mlp_blocks = []
         for _ in range(depth):
             self.attn_blocks.append(MHSABlock(embed_dim, n_heads, rng, dropout_p))
-            if mlp_variant == "resmlp":
-                self.mlp_blocks.append(ResMLPBlock(embed_dim, hidden_dim, rng, dropout_p))
-            else:
-                self.mlp_blocks.append(PlainMLPBlock(embed_dim, hidden_dim, rng, dropout_p))
+            self.mlp_blocks.append(MLP_BLOCKS[mlp_variant](embed_dim, hidden_dim, rng, dropout_p))
         self.final_norm = LayerNorm(embed_dim)
 
     def forward(self, z: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:

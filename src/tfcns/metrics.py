@@ -64,7 +64,7 @@ def dice_loss(logits: Tensor, target: np.ndarray, num_classes: int) -> Tensor:
         ad.add(ad.mul(inter, 2.0), DICE_SMOOTHING),
         ad.add(ad.add(psum, gsum), DICE_SMOOTHING),
     )
-    return ad.add(ad.neg(ad.reduce_mean(dice)), 1.0)
+    return ad.add(ad.mul(ad.reduce_mean(dice), -1.0), 1.0)
 
 
 def cross_entropy_loss(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -72,7 +72,7 @@ def cross_entropy_loss(logits: Tensor, target: np.ndarray) -> Tensor:
     _check_logits_target(logits, target)
     g = one_hot(target, logits.shape[1], dtype=logits.dtype)
     picked = ad.reduce_sum(ad.mul(ad.log_softmax(logits, axis=1), g), axis=1)
-    return ad.neg(ad.reduce_mean(picked))
+    return ad.mul(ad.reduce_mean(picked), -1.0)
 
 
 def combined_loss_parts(logits: Tensor, target: np.ndarray, num_classes: int) -> tuple[Tensor, Tensor, Tensor]:

@@ -37,6 +37,7 @@ from .layers import (
     CLAB,
     CUABLike,
     DenseBlock,
+    MLP_BLOCKS,
     PatchEmbedding,
     RLTransformerEncoder,
     TransitionDown,
@@ -48,8 +49,9 @@ from .nn import Conv2d, Module
 CHECKPOINT_MAGIC = b"TFCN"
 CHECKPOINT_VERSION = 1
 
-SKIP_ATTENTION_CHOICES = ("none", "clab", "cuab_like")
-MLP_VARIANT_CHOICES = ("resmlp", "plain_mlp")
+SKIP_GATES = {"none": None, "clab": CLAB, "cuab_like": CUABLike}
+SKIP_ATTENTION_CHOICES = tuple(SKIP_GATES)
+MLP_VARIANT_CHOICES = tuple(MLP_BLOCKS)
 
 _DEPTH_DEFAULTS = (4, 4, 6, 8, 10)
 
@@ -183,25 +185,19 @@ class TFCNsModel(Module):
         self.skip_gates = []
         self.dec_blocks = []
         channels = cfg.embed_dim
+        gate = SKIP_GATES[cfg.skip_attention]
         for s in reversed(range(stages)):
             skip_ch = self.skip_channels[s]
             self.trans_up.append(TransitionUp(channels, skip_ch, rng).astype(dtype))
             kernels = cfg.clab_kernels if cfg.clab_kernels is not None else max(1, skip_ch // 2)
-            if cfg.skip_attention == "clab":
-                self.skip_gates.append(CLAB(skip_ch, cfg.clab_branches, kernels, rng).astype(dtype))
-            elif cfg.skip_attention == "cuab_like":
-                self.skip_gates.append(CUABLike(skip_ch, cfg.clab_branches, kernels, rng).astype(dtype))
-            else:
-                self.skip_gates.append(None)
+            self.skip_gates.append(None if gate is None else
+                                   gate(skip_ch, cfg.clab_branches, kernels, rng).astype(dtype))
             block = DenseBlock(2 * skip_ch, cfg.growth_rate, layers[s], rng, cfg.dropout_p).astype(dtype)
             channels = block.out_channels
             self.dec_blocks.append(block)
 
         self.head = Conv2d(channels, cfg.num_classes, 1, rng).astype(dtype)
 
-        names = [name for name, _ in self.named_parameters()]
-        if len(names) != len(set(names)):
-            raise ConfigInvalid("parameter registry names are not unique")
         for name, p in self.named_parameters():
             p.name = name
 

@@ -35,9 +35,7 @@ class Module:
                 yield from value.named_parameters(path)
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
-                    if isinstance(item, Parameter):
-                        yield f"{path}.{i}", item
-                    elif isinstance(item, Module):
+                    if isinstance(item, Module):
                         yield from item.named_parameters(f"{path}.{i}")
 
     def parameters(self) -> list[Parameter]:

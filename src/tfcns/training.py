@@ -321,17 +321,12 @@ def run_ablation(model_cfg: ModelConfig, train_cfg: TrainConfig,
                  grid: Sequence[tuple[str, dict]], dataset: Sequence[SegmentationPair],
                  label_header: str = "Config") -> AblationTable:
     """Train and evaluate one model per grid entry under identical seeds and
-    emit a row of (Dice, Hd95, Jaccard) per entry. Override keys are matched
-    to the model config first, then the train config."""
-    model_fields = {f.name for f in ModelConfig.__dataclass_fields__.values()}
+    emit a row of (Dice, Hd95, Jaccard) per entry. Each entry's overrides
+    replace keys of the model config; every run uses ``train_cfg``."""
     rows = []
     for label, overrides in grid:
-        m_over = {k: v for k, v in overrides.items() if k in model_fields}
-        t_over = {k: v for k, v in overrides.items() if k not in model_fields}
-        run_model_cfg = replace(model_cfg, **m_over)
-        run_train_cfg = replace(train_cfg, **t_over)
-        model = build(run_model_cfg)
-        train(model, dataset, run_train_cfg)
+        model = build(replace(model_cfg, **overrides))
+        train(model, dataset, train_cfg)
         report = evaluate(model, dataset)
         rows.append((label, report.dice_avg, report.hd95_avg, report.jaccard_avg))
     return AblationTable(label_header=label_header, rows=rows)

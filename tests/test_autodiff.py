@@ -47,6 +47,24 @@ class TestMatmul:
         y = t64(rng.standard_normal((5, 3)))
         assert grad_check(lambda t: ad.reduce_sum(ad.matmul(a, t)), y) < 1e-6
 
+    def test_matrix_applied_to_every_leading_slot_grad(self, rng):
+        a = t64(rng.standard_normal((2, 3, 4)))
+        b = t64(rng.standard_normal((4, 5)))
+        w = rng.standard_normal((2, 3, 5))
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.matmul(t, b), w)), a) < 1e-6
+        # b's gradient sums over every leading slot of a
+        assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.matmul(a, t), w)), b) < 1e-6
+
+    @pytest.mark.parametrize("ashape,bshape", [
+        ((2, 3, 4), (3, 4, 5)),
+        ((3, 4), (2, 4, 5)),
+        ((4,), (4, 5)),
+        ((2, 4), (4,)),
+    ], ids=["leading_dims_differ", "rank2_times_batched", "rank1_a", "rank1_b"])
+    def test_operand_shape_mismatch(self, ashape, bshape):
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(t64(np.ones(ashape)), t64(np.ones(bshape)))
+
     def test_batched_grad(self, rng):
         a = t64(rng.standard_normal((2, 3, 4)))
         b = t64(rng.standard_normal((2, 4, 3)))
@@ -578,14 +596,6 @@ class TestElementwise:
         # the gradient plus one temporary (1 - s)
         assert peak - base <= 2 * gx.nbytes + 64 * 1024
 
-    @pytest.mark.parametrize("op,wshape", [
-        (ad.neg, 7),
-    ])
-    def test_unary_grads(self, op, wshape, rng):
-        x = t64(rng.standard_normal(wshape))
-        w = rng.standard_normal(wshape)
-        assert grad_check(lambda t: ad.reduce_sum(ad.mul(op(t), w)), x) < 1e-5
-
     def test_sqrt_grad_on_positive_inputs(self, rng):
         x = t64(rng.random(8) + 0.5)
         w = rng.standard_normal(8)
@@ -608,6 +618,21 @@ class TestElementwise:
             assert grad_check(lambda t: ad.reduce_sum(ad.mul(op(a, t), w)), b) < 1e-5
         bpos = t64(rng.random((1, 4)) + 0.5)
         assert grad_check(lambda t: ad.reduce_sum(ad.mul(ad.div(a, t), w)), bpos) < 1e-5
+
+    @pytest.mark.parametrize("op,np_op", [(ad.add, np.add), (ad.sub, np.subtract),
+                                          (ad.mul, np.multiply), (ad.div, np.divide)])
+    @pytest.mark.parametrize("const", [1.7, np.array(1.7), np.array([[0.5], [1.5], [2.5]])],
+                             ids=["python_float", "0d_float64", "broadcast_float64"])
+    def test_constant_operand_keeps_float32_and_gets_no_gradient(self, op, np_op, const, rng):
+        x = Tensor(rng.standard_normal((3, 4)), dtype=np.float32)
+        with Tape() as tape:
+            tape.watch(x)
+            out = op(x, const)
+            node = tape.nodes[-1]
+            backward(ad.reduce_sum(out))
+        assert out.dtype == np.float32 and x.grad.dtype == np.float32
+        assert np.array_equal(out.data, np_op(x.data, np.asarray(const, dtype=np.float32)))
+        assert node.input_ids[1] is None and node.backward(np.ones_like(out.data))[1] is None
 
 
 class TestSoftmax:
