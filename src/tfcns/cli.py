@@ -4,7 +4,7 @@ Run configuration is a flat ``key = value`` text file (``#`` comments)
 merged with repeatable ``--set key=value`` overrides; unknown keys are
 errors. The effective configuration is echoed to the output directory.
 Exit codes: 0 success, 1 runtime failure (non-finite loss), 2 usage,
-configuration, or data errors.
+configuration, data, or file-system errors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .errors import (
     VersionError,
 )
 from .model import (
+    _MODEL_KINDS,
     MLP_VARIANT_CHOICES,
     SKIP_ATTENTION_CHOICES,
     ModelConfig,
@@ -40,7 +40,6 @@ from .model import (
 )
 from .training import ABLATION_AXES, TrainConfig, ablation_grid, evaluate, refuse_existing_log, run_ablation, train
 
-_MODEL_KINDS = config_kinds(ModelConfig)
 _TRAIN_KINDS = config_kinds(TrainConfig)
 _PATH_KEYS = ("dataset_dir", "output_dir", "checkpoint")
 # key -> kind; order defines the echoed config layout
@@ -112,9 +111,6 @@ class RunConfig:
         cfg.validate()
         return cfg
 
-    def path(self, key: str) -> Optional[str]:
-        return self.values[key]
-
     def to_text(self) -> str:
         return format_config_text((key, self.values[key]) for key in _KINDS)
 
@@ -144,7 +140,7 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _require_out_dir(rc: RunConfig) -> Path:
-    out = rc.path("output_dir")
+    out = rc.values["output_dir"]
     if not out:
         raise ConfigInvalid("an output directory is required (--out or output_dir)")
     out = Path(out)
@@ -152,19 +148,15 @@ def _require_out_dir(rc: RunConfig) -> Path:
     return out
 
 
-def _echo_config(rc: RunConfig, out: Path) -> None:
-    (out / "effective_config.txt").write_text(rc.to_text(), encoding="utf-8")
-
-
 def _load_pairs(rc: RunConfig):
-    dataset_dir = rc.path("dataset_dir")
+    dataset_dir = rc.values["dataset_dir"]
     if not dataset_dir:  # Path("") is the working directory
         raise DatasetError(f"dataset directory not found: {dataset_dir}")
     return load_dataset(dataset_dir)
 
 
 def _load_model(rc: RunConfig) -> TFCNsModel:
-    ckpt_path = rc.path("checkpoint")
+    ckpt_path = rc.values["checkpoint"]
     if not ckpt_path or not Path(ckpt_path).is_file():
         raise ConfigInvalid(f"checkpoint not found: {ckpt_path}")
     model, _ = model_from_checkpoint(ckpt_path)
@@ -181,66 +173,79 @@ def _load_image(path, cfg) -> np.ndarray:
     return image
 
 
-def cmd_train(args) -> int:
-    rc = _load_run_config(args)
+def cmd_train(rc: RunConfig, args) -> None:
     model_cfg, train_cfg = rc.model_config(), rc.train_config()
     out = _require_out_dir(rc)
     refuse_existing_log(out)  # before the echo overwrites the earlier run's config
     pairs = _load_pairs(rc)
-    _echo_config(rc, out)
+    (out / "effective_config.txt").write_text(rc.to_text(), encoding="utf-8")
     train(build(model_cfg), pairs, train_cfg, out_dir=out)
-    return 0
 
 
-def cmd_eval(args) -> int:
-    rc = _load_run_config(args)
+def cmd_eval(rc: RunConfig, args) -> None:
     model = _load_model(rc)
     pairs = _load_pairs(rc)
     if not pairs:
-        raise DatasetError(f"dataset directory is empty: {rc.path('dataset_dir')}")
+        raise DatasetError(f"dataset directory is empty: {rc.values['dataset_dir']}")
     report = evaluate(model, pairs)
     table = report.to_tsv()
     sys.stdout.write(table)
-    if rc.path("output_dir"):
+    if rc.values["output_dir"]:
         out = _require_out_dir(rc)
         (out / "metrics.tsv").write_text(table, encoding="utf-8")
-    return 0
 
 
-def cmd_predict(args) -> int:
-    rc = _load_run_config(args)
+def cmd_predict(rc: RunConfig, args) -> None:
     model = _load_model(rc)
     out = _require_out_dir(rc)
     image = _load_image(args.image, model.cfg)
     mask = predict(model, image[None])[0]
     write_tensor(out / "mask.tnsr", mask.astype(np.int32))
     write_mask_image(out / "mask.ppm", mask)
-    return 0
 
 
-def cmd_cam(args) -> int:
-    rc = _load_run_config(args)
+def cmd_cam(rc: RunConfig, args) -> None:
     model = _load_model(rc)
     out = _require_out_dir(rc)
     image = _load_image(args.image, model.cfg)
     heat = class_activation_map(model, image[None], args.target_class)[0]
     write_heatmap(out / "heatmap.ppm", heat)
     write_cam_overlay(out / "overlay.ppm", heat, threshold=args.threshold, image=image)
-    return 0
 
 
-def cmd_ablate(args) -> int:
-    rc = _load_run_config(args)
+def cmd_ablate(rc: RunConfig, args) -> None:
     model_cfg, train_cfg = rc.model_config(), rc.train_config()
     out = _require_out_dir(rc)
     pairs = _load_pairs(rc)
-    _echo_config(rc, out)
+    (out / "effective_config.txt").write_text(rc.to_text(), encoding="utf-8")
     header, grid = ablation_grid(args.axis)
     table = run_ablation(model_cfg, train_cfg, grid, pairs, label_header=header)
     text = table.to_tsv()
     sys.stdout.write(text)
     (out / f"ablation_{args.axis}.tsv").write_text(text, encoding="utf-8")
-    return 0
+
+
+# (flag, add_argument keywords) of the options every subcommand takes
+_COMMON_OPTIONS = (
+    ("--config", dict(metavar="PATH", help="flat key = value config file")),
+    ("--set", dict(action="append", metavar="KEY=VALUE", help="override a config key (repeatable)")),
+    ("--seed", dict(type=int, help="override the seed key")),
+    ("--out", dict(metavar="DIR", help="override the output_dir key")),
+)
+_IMAGE_OPTION = ("--image", dict(required=True, metavar="PATH", help="input image (.tnsr)"))
+
+# name -> (handler, help, options beyond the common ones); order is the --help order
+COMMANDS = {
+    "train": (cmd_train, "train a model", ()),
+    "eval": (cmd_eval, "evaluate a checkpoint on a dataset", ()),
+    "predict": (cmd_predict, "segment one image", (_IMAGE_OPTION,)),
+    "cam": (cmd_cam, "class activation heatmap for one image", (
+        _IMAGE_OPTION,
+        ("--target-class", dict(type=int, required=True, help="class index to explain")),
+        ("--threshold", dict(type=float, default=0.4, help="activation intensity threshold for the overlay")),
+    )),
+    "ablate": (cmd_ablate, "run one ablation axis", (("--axis", dict(choices=tuple(ABLATION_AXES), required=True)),)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,60 +255,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     epilog = _schema_epilog()
-
-    def common(p):
-        p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
-        p.add_argument("--seed", type=int, help="override the seed key")
-        p.add_argument("--out", metavar="DIR", help="override the output_dir key")
-
-    fmt = argparse.RawDescriptionHelpFormatter
-    p_train = sub.add_parser("train", help="train a model", epilog=epilog, formatter_class=fmt)
-    common(p_train)
-    p_train.set_defaults(fn=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset",
-                            epilog=epilog, formatter_class=fmt)
-    common(p_eval)
-    p_eval.set_defaults(fn=cmd_eval)
-
-    p_pred = sub.add_parser("predict", help="segment one image", epilog=epilog, formatter_class=fmt)
-    common(p_pred)
-    p_pred.add_argument("--image", required=True, metavar="PATH", help="input image (.tnsr)")
-    p_pred.set_defaults(fn=cmd_predict)
-
-    p_cam = sub.add_parser("cam", help="class activation heatmap for one image",
-                           epilog=epilog, formatter_class=fmt)
-    common(p_cam)
-    p_cam.add_argument("--image", required=True, metavar="PATH", help="input image (.tnsr)")
-    p_cam.add_argument("--target-class", type=int, required=True, help="class index to explain")
-    p_cam.add_argument("--threshold", type=float, default=0.4,
-                       help="activation intensity threshold for the overlay")
-    p_cam.set_defaults(fn=cmd_cam)
-
-    p_abl = sub.add_parser("ablate", help="run one ablation axis", epilog=epilog, formatter_class=fmt)
-    common(p_abl)
-    p_abl.add_argument("--axis", choices=tuple(ABLATION_AXES), required=True)
-    p_abl.set_defaults(fn=cmd_ablate)
+    for name, (fn, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, epilog=epilog,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for flag, kwargs in _COMMON_OPTIONS + options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(_load_run_config(args), args)
     except NonFiniteLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigInvalid, DatasetError, FormatError, VersionError,
-            ClassOutOfRange, ShapeMismatch, FileNotFoundError) as exc:
+            ClassOutOfRange, ShapeMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TfcnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entrypoint() -> None:

@@ -30,6 +30,7 @@ see ``_colormap_entry`` for the exact integer formula.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -69,8 +70,8 @@ def pack_array(arr: np.ndarray) -> tuple[bytes, bytes]:
 
 def unpack_array(blob: bytes, offset: int, source) -> tuple[np.ndarray, int]:
     """The array record at ``offset`` of ``blob`` and the offset just past it.
-    Raises FormatError, naming ``source``, on an unknown dtype tag or a
-    record that runs past the end of ``blob``."""
+    Raises FormatError, naming ``source``, on an unknown dtype tag, a rank
+    numpy cannot hold, or a record that runs past the end of ``blob``."""
     try:
         tag, rank = struct.unpack_from("<BB", blob, offset)
         dims = struct.unpack_from(f"<{rank}I", blob, offset + 2)
@@ -80,11 +81,14 @@ def unpack_array(blob: bytes, offset: int, source) -> tuple[np.ndarray, int]:
         raise FormatError(f"{source}: unknown dtype tag {tag}")
     offset += 2 + 4 * rank
     dtype = DTYPE_TAGS[tag]
-    n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+    n_bytes = math.prod(dims) * dtype.itemsize  # Python ints: a product of u32 dims cannot wrap
     if offset + n_bytes > len(blob):
         raise FormatError(f"{source}: truncated payload")
-    arr = np.frombuffer(memoryview(blob)[offset:offset + n_bytes], dtype=dtype).reshape(dims).copy()
-    return arr, offset + n_bytes
+    try:
+        arr = np.frombuffer(memoryview(blob)[offset:offset + n_bytes], dtype=dtype).reshape(dims)
+    except ValueError as exc:  # more dims than numpy supports
+        raise FormatError(f"{source}: {exc}") from exc
+    return arr.copy(), offset + n_bytes
 
 
 def write_tensor(path, array: np.ndarray) -> None:

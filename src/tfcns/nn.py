@@ -44,10 +44,6 @@ class Module:
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
     def astype(self, dtype) -> "Module":
         """Cast every parameter in place; returns the module."""
         for p in self.parameters():
@@ -65,8 +61,6 @@ def embedding_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True):
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Parameter(he_normal(rng, (in_features, out_features), in_features))
         self.bias = Parameter(np.zeros(out_features), no_decay=True) if bias else None
 

@@ -11,6 +11,7 @@ describe the generator state.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -212,31 +213,30 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
     cfg.validate()
     if not dataset:
         raise ConfigInvalid("training dataset is empty")
-    if out_dir is not None:
-        refuse_existing_log(out_dir)
     num_classes = model.cfg.num_classes
+    params = model.parameters()  # the registry is fixed for the whole run
     state = OptimizerState.for_model(model)
     log = TrainLog()
     total = total_iterations(cfg, len(dataset))
-
-    out_dir = Path(out_dir) if out_dir is not None else None
-    log_file = None
+    log_opener = contextlib.nullcontext()  # enters as None: no log file
     if out_dir is not None:
+        out_dir = Path(out_dir)
+        refuse_existing_log(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        log_file = open(out_dir / "training.log", "a", encoding="utf-8")
+        log_opener = open(out_dir / "training.log", "a", encoding="utf-8")
 
-    def emit(line: str):
-        if log_file is not None:
-            log_file.write(line + "\n")
-            log_file.flush()
+    with log_opener as log_file:
+        def emit(line: str):
+            if log_file is not None:
+                log_file.write(line + "\n")
+                log_file.flush()
 
-    try:
         for it in range(total):
             x, y, model_rng = _prepare_batch(dataset, cfg, it, model.dtype)
-            model.zero_grad()  # else last step's gradients stay alive through this forward's peak memory
             try:
                 with ad.Tape() as tape:
-                    for p in model.parameters():
+                    for p in params:
+                        p.grad = None  # else last step's gradients stay alive through this forward's peak memory
                         tape.watch(p)
                     logits = model.forward(x, rng=model_rng)
                     loss, d_part, c_part = combined_loss_parts(logits, y, num_classes)
@@ -253,7 +253,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
                 dice_loss=float(d_part.data),
                 ce_loss=float(c_part.data),
             )
-            sgd_step(model.parameters(), state, cfg)
+            sgd_step(params, state, cfg)
             log.records.append(record)
             emit(record.line())
             for cb in callbacks or ():
@@ -271,9 +271,6 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
                         best = out_dir / "best.ckpt"
                         save_checkpoint(model, state, best)
                         log.checkpoint_best = str(best)
-    finally:
-        if log_file is not None:
-            log_file.close()
 
     if out_dir is not None:
         last = out_dir / "last.ckpt"

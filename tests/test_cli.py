@@ -1,6 +1,8 @@
 """Command-line interface: schema-driven help, config merging, exit codes,
 and the five subcommands end to end on a small synthetic dataset."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,20 @@ class TestPredictCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "(1, 8, 8)" in err and "(1, 16, 16)" in err
+
+    def test_image_dims_whose_product_wraps_int64_is_exit_2(self, trained_checkpoint, tmp_path, capsys):
+        bad = tmp_path / "bad.tnsr"  # 65536**4 == 2**64 elements claimed, none present
+        bad.write_bytes(b"TNSR" + struct.pack("<HBB4I", 1, 0, 4, *[65536] * 4) + struct.pack("<I", 0))
+        rc = main(["predict", "--set", f"checkpoint={trained_checkpoint}",
+                   "--image", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "truncated payload" in capsys.readouterr().err
+
+    def test_directory_as_image_is_exit_2(self, trained_checkpoint, tmp_path, capsys):
+        rc = main(["predict", "--set", f"checkpoint={trained_checkpoint}",
+                   "--image", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_outputs_round_trip_and_use_palette(self, dataset_dir, trained_checkpoint, tmp_path):
         out = tmp_path / "pred"

@@ -1,6 +1,9 @@
 """TNSR container round trips and corruption handling, PPM/colormap output,
 the synthetic dataset generator, and dataset directory loading."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,21 @@ class TestTensorFile:
         assert (tmp_path / "g.tnsr").read_bytes() == golden
         back = D.read_tensor(tmp_path / "g.tnsr")
         assert back.shape == arr.shape and np.array_equal(back, arr)
+
+    def test_dims_whose_product_wraps_int64_are_a_truncated_payload(self, tmp_path):
+        # 65536**4 == 2**64: a product in int64 wraps to 0 and sizes the record as empty
+        path = tmp_path / "t.tnsr"
+        path.write_bytes(b"TNSR" + struct.pack("<HBB4I", 1, 0, 4, *[65536] * 4) + struct.pack("<I", zlib.crc32(b"")))
+        with pytest.raises(FormatError, match="truncated payload"):
+            D.read_tensor(path)
+
+    def test_rank_beyond_numpy_limit_is_format_error(self, tmp_path):
+        path = tmp_path / "t.tnsr"
+        payload = bytes(4)  # one float32 element, every one of the 65 dims 1
+        path.write_bytes(b"TNSR" + struct.pack("<HBB65I", 1, 0, 65, *[1] * 65) + payload
+                         + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(FormatError, match="dimension"):
+            D.read_tensor(path)
 
     def test_writer_is_byte_deterministic(self, rng, tmp_path):
         arr = rng.standard_normal((3, 5)).astype(np.float64)

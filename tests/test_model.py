@@ -612,6 +612,16 @@ class TestCheckpoint:
         assert back == cfg
         assert extra == {"iteration": "5"}
 
+    def test_record_dims_whose_product_wraps_int64_are_format_error(self, tmp_path):
+        # a CRC-valid checkpoint whose one record claims 65536**4 == 2**64 elements and holds none
+        text = model_config_to_text(tiny_model_config(), extra={"iteration": 0}).encode("utf-8")
+        payload = (struct.pack("<I", len(text)) + text + struct.pack("<IH", 1, 1) + b"w"
+                   + struct.pack("<BB4I", 0, 4, *[65536] * 4))
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"TFCN" + struct.pack("<I", 1) + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(FormatError, match="truncated payload"):
+            load_checkpoint(path)
+
     def test_unparseable_config_value_is_format_error(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build(tiny_model_config()), None, path)
