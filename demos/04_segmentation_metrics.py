@@ -37,4 +37,4 @@ report = M.aggregate([case1, case2])
 print("aggregated over 2 cases (one with an empty prediction):")
 print(f"  class 1: dice {report.per_class[1].dice:.2f}, "
       f"hd95 {report.per_class[1].hd95}, missing count {report.per_class[1].hd95_missing}")
-print(report.to_tsv(method="demo").rstrip())
+print(report.to_tsv().rstrip())

@@ -582,26 +582,22 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor
 # pooling and normalization
 # ---------------------------------------------------------------------------
 
-def avg_pool(x: Tensor, window: int) -> Tensor:
-    """Non-overlapping mean pooling; stride equals the window."""
-    wh = ww = int(window)
+def avg_pool(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 mean pooling; halves both spatial dims."""
     xd = x.data
     src = xd.shape
     bsz, c, h, w = src
-    if h % wh or w % ww:
-        raise ShapeMismatch(f"pool window {wh}x{ww} does not tile {h}x{w}")
-    ho, wo = h // wh, w // ww
+    if h % 2 or w % 2:
+        raise ShapeMismatch(f"pool window 2x2 does not tile {h}x{w}")
+    ho, wo = h // 2, w // 2
     data = np.zeros((bsz, c, ho, wo), xd.dtype)
-    for i in range(wh):
-        for j in range(ww):
-            data += xd[:, :, i::wh, j::ww]
-    data *= 1.0 / (wh * ww)
+    for i in range(2):
+        for j in range(2):
+            data += xd[:, :, i::2, j::2]
+    data *= 0.25
 
     def backward(g):
-        g6 = np.broadcast_to(
-            g[:, :, :, None, :, None] / (wh * ww),
-            (bsz, c, ho, wh, wo, ww),
-        )
+        g6 = np.broadcast_to(g[:, :, :, None, :, None] / 4, (bsz, c, ho, 2, wo, 2))
         return (g6.reshape(src),)
 
     return _out("avg_pool", (x,), data, backward)

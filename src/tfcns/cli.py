@@ -2,35 +2,25 @@
 
 Run configuration is a flat ``key = value`` text file (``#`` comments)
 merged with repeatable ``--set key=value`` overrides; unknown keys are
-errors. The effective configuration is echoed to the output directory.
-Exit codes: 0 success, 1 runtime failure (non-finite loss), 2 usage,
-configuration, data, or file-system errors.
+errors; each key's kind and help come from its config dataclass field. The
+effective configuration is echoed to the output directory. Exit codes: 0
+success, else the error's ``exit_code`` (2 for a file-system error).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import (config_kinds, format_config_text, load_dataset, parse_config_value, read_config_lines,
                    read_image, write_cam_overlay, write_heatmap, write_mask_image, write_tensor)
-from .errors import (
-    ClassOutOfRange,
-    ConfigInvalid,
-    DatasetError,
-    FormatError,
-    NonFiniteLoss,
-    ShapeMismatch,
-    TfcnsError,
-    VersionError,
-)
+from .errors import ConfigInvalid, DatasetError, ShapeMismatch, TfcnsError
 from .model import (
     _MODEL_KINDS,
-    MLP_VARIANT_CHOICES,
-    SKIP_ATTENTION_CHOICES,
     ModelConfig,
     TFCNsModel,
     build,
@@ -41,53 +31,25 @@ from .model import (
 from .training import ABLATION_AXES, TrainConfig, ablation_grid, evaluate, refuse_existing_log, run_ablation, train
 
 _TRAIN_KINDS = config_kinds(TrainConfig)
-_PATH_KEYS = ("dataset_dir", "output_dir", "checkpoint")
-# key -> kind; order defines the echoed config layout
-_KINDS = {**_MODEL_KINDS, **_TRAIN_KINDS, **dict.fromkeys(_PATH_KEYS, "path")}
-
-_HELP = {
-    "in_channels": "image channels",
-    "num_classes": "segmentation classes including background",
-    "input_size": "square input side; must be divisible by patch_size",
-    "first_conv_channels": "stem conv output channels",
-    "growth_rate": "channels added per dense-block layer",
-    "layers_per_block": "per-stage dense layer counts, or 'auto'",
-    "patch_size": "transformer patch size (8/16/32); sets encoder depth",
-    "embed_dim": "token embedding width",
-    "transformer_layers": "attention/feed-forward layer pairs",
-    "n_heads": "attention heads",
-    "resmlp_hidden": "feed-forward hidden width, or 'auto'",
-    "dropout_p": "dropout probability in blocks",
-    "skip_attention": "skip gate: " + " | ".join(SKIP_ATTENTION_CHOICES),
-    "mlp_variant": "feed-forward variant: " + " | ".join(MLP_VARIANT_CHOICES),
-    "clab_branches": "gate branch count",
-    "clab_kernels": "kernels per gate branch, or 'auto'",
-    "seed": "seed for init, batching, augmentation, dropout",
-    "lr": "base learning rate",
-    "momentum": "SGD momentum",
-    "weight_decay": "coupled L2 weight decay",
-    "batch_size": "training batch size",
-    "epochs": "epochs when max_iterations is 'auto'",
-    "lr_decay_at": "iteration at which the step decay fires",
-    "lr_decay_factor": "multiplier applied at lr_decay_at",
-    "augment_rotate": "enable random 90-degree rotations",
-    "augment_flip": "enable random flips",
-    "eval_every": "iterations between evaluations (0 disables)",
-    "max_iterations": "iteration cap, or 'auto' for epoch-based",
+# help of the keys that no config dataclass owns
+_PATH_HELP = {
     "dataset_dir": "directory of <id>.img.tnsr / <id>.msk.tnsr pairs",
     "output_dir": "directory for logs, checkpoints, images, tables",
     "checkpoint": "checkpoint file for eval/predict/cam",
 }
+# key -> kind; order defines the echoed config layout
+_KINDS = {**_MODEL_KINDS, **_TRAIN_KINDS, **dict.fromkeys(_PATH_HELP, "path")}
+_HELP = {f.name: f.metadata["help"] for cls in (ModelConfig, TrainConfig) for f in fields(cls)} | _PATH_HELP
 # (key, kind, help) for every config key
 SCHEMA = [(key, kind, _HELP[key]) for key, kind in _KINDS.items()]
 
 
 class RunConfig:
-    """Merged model/training/path configuration; the config accessors validate
-    what they return."""
+    """Merged model/training/path configuration; building a config from it
+    checks the values."""
 
     def __init__(self):
-        self.values = {**vars(ModelConfig()), **vars(TrainConfig()), **dict.fromkeys(_PATH_KEYS)}
+        self.values = {**vars(ModelConfig()), **vars(TrainConfig()), **dict.fromkeys(_PATH_HELP)}
 
     def set(self, key: str, raw: str) -> None:
         if key not in _KINDS:
@@ -98,18 +60,18 @@ class RunConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigInvalid(f"config file not found: {path}")
-        for key, value in read_config_lines(path.read_text(encoding="utf-8"), path):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigInvalid(f"config file {path} is not UTF-8 text: {exc}") from exc
+        for key, value in read_config_lines(text, path):
             self.set(key, value)
 
     def model_config(self) -> ModelConfig:
-        cfg = ModelConfig(**{k: self.values[k] for k in _MODEL_KINDS})
-        cfg.validate()
-        return cfg
+        return ModelConfig(**{k: self.values[k] for k in _MODEL_KINDS})
 
     def train_config(self) -> TrainConfig:
-        cfg = TrainConfig(**{k: self.values[k] for k in _TRAIN_KINDS})
-        cfg.validate()
-        return cfg
+        return TrainConfig(**{k: self.values[k] for k in _TRAIN_KINDS})
 
     def to_text(self) -> str:
         return format_config_text((key, self.values[key]) for key in _KINDS)
@@ -268,16 +230,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(_load_run_config(args), args)
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigInvalid, DatasetError, FormatError, VersionError,
-            ClassOutOfRange, ShapeMismatch, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TfcnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

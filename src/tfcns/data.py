@@ -16,10 +16,11 @@ record, then the u32 CRC32 of the record's payload bytes.
 
 Config text: one ``key = value`` per line, ``#`` starts a comment. A value
 is parsed by its key's kind; ``config_kinds`` reads the kinds of a config
-dataclass from its field annotations.
+dataclass from its field annotations, and ``config_field`` puts each key's
+help text on its field.
 
 Dataset directory convention: one ``<case_id>.img.tnsr`` (C x H x W float
-image in [0,1]) plus one ``<case_id>.msk.tnsr`` (H x W integer mask) per
+image in [0,1]) plus one ``<case_id>.msk.tnsr`` (H x W u8 or i32 mask) per
 case. Unpaired files are an error.
 
 Mask images are written as binary PPM (P6) using the fixed palette
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -139,6 +140,15 @@ _KIND_OF_ANNOTATION = {
 }
 
 
+# help of the seed key, which both config dataclasses carry
+SEED_HELP = "seed for init, batching, augmentation, dropout"
+
+
+def config_field(default, help: str):
+    """A config dataclass field whose ``help`` text ``tfcns --help`` lists."""
+    return field(default=default, metadata={"help": help})
+
+
 def config_kinds(cls) -> dict:
     """Field name -> value kind of a config dataclass, in field order."""
     return {f.name: _KIND_OF_ANNOTATION[f.type] for f in fields(cls)}
@@ -239,9 +249,9 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         f.write(rgb.tobytes())
 
 
-def write_mask_image(path, mask: np.ndarray, palette: Optional[Sequence] = None) -> None:
+def write_mask_image(path, mask: np.ndarray) -> None:
     """Class-index mask -> colored PPM via the (documented) fixed palette."""
-    palette = np.asarray(palette if palette is not None else MASK_PALETTE, dtype=np.uint8)
+    palette = np.asarray(MASK_PALETTE, dtype=np.uint8)
     mask = np.asarray(mask, dtype=np.int64) % len(palette)
     write_ppm(path, palette[mask])
 
@@ -373,8 +383,9 @@ def save_dataset(directory, pairs: Sequence[SegmentationPair]) -> None:
 
 
 def load_dataset(directory) -> list[SegmentationPair]:
-    """Pairs ``<id>.img.tnsr`` with ``<id>.msk.tnsr``; any orphan file is an
-    error naming the offender. Cases come back sorted by id."""
+    """Pairs ``<id>.img.tnsr`` with ``<id>.msk.tnsr``; any orphan file, or a
+    mask that is not u8 or i32, is an error naming the offender. Cases come
+    back sorted by id."""
     directory = Path(directory)
     if not directory.is_dir():
         raise DatasetError(f"dataset directory not found: {directory}")
@@ -389,7 +400,10 @@ def load_dataset(directory) -> list[SegmentationPair]:
     pairs = []
     for stem in sorted(images):
         image = read_image(images[stem])
-        mask = read_tensor(masks[stem]).astype(np.int32)
+        mask = read_tensor(masks[stem])
+        if mask.dtype not in (np.uint8, np.int32):
+            raise DatasetError(f"{masks[stem]}: mask dtype {mask.dtype} is not u8 or i32")
+        mask = mask.astype(np.int32)
         pairs.append(SegmentationPair(image=image, mask=mask, case_id=stem))
     return pairs
 

@@ -59,7 +59,7 @@ class TransitionDown(Module):
         self.conv = Conv2d(in_channels, out_channels, 1, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.avg_pool(ad.gelu(self.conv(x)), 2)
+        return ad.avg_pool(ad.gelu(self.conv(x)))
 
 
 class TransitionUp(Module):

@@ -120,19 +120,18 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     return m & ~interior
 
 
-def hd95(pred_mask: np.ndarray, ref_mask: np.ndarray, cls: int, spacing=1.0) -> float:
+def hd95(pred_mask: np.ndarray, ref_mask: np.ndarray, cls: int) -> float:
     """95th percentile (linear interpolation) of the symmetric set of
-    boundary-to-nearest-boundary Euclidean distances, scaled by the pixel
-    spacing. Raises EmptyMask if either mask lacks class ``cls``."""
+    boundary-to-nearest-boundary Euclidean distances, in pixels. Raises
+    EmptyMask if either mask lacks class ``cls``."""
     p = np.asarray(pred_mask) == cls
     r = np.asarray(ref_mask) == cls
     if not p.any() or not r.any():
         raise EmptyMask(f"class {cls} empty in {'prediction' if not p.any() else 'reference'}")
-    sy, sx = (spacing, spacing) if np.isscalar(spacing) else spacing
     pb = boundary_pixels(p)
     rb = boundary_pixels(r)
-    dist_to_r = distance_transform_edt(~rb, sampling=(sy, sx))
-    dist_to_p = distance_transform_edt(~pb, sampling=(sy, sx))
+    dist_to_r = distance_transform_edt(~rb)
+    dist_to_p = distance_transform_edt(~pb)
     dists = np.concatenate([dist_to_r[pb], dist_to_p[rb]])
     return float(np.percentile(dists, 95))
 
@@ -157,13 +156,13 @@ class MetricReport:
     hd95_avg: Optional[float]
     n_cases: int
 
-    def to_tsv(self, method: str = "TFCNs") -> str:
+    def to_tsv(self) -> str:
         classes = sorted(c for c in self.per_class if c != 0)
         header = ["Method", "Dice(avg)", "Hd95(avg)", "Jaccard(avg)"] + [
             f"Dice(class{c})" for c in classes
         ]
         hd = "nan" if self.hd95_avg is None else f"{self.hd95_avg:.2f}"
-        row = [method, f"{self.dice_avg:.2f}", hd, f"{self.jaccard_avg:.2f}"] + [
+        row = ["TFCNs", f"{self.dice_avg:.2f}", hd, f"{self.jaccard_avg:.2f}"] + [
             f"{self.per_class[c].dice:.2f}" for c in classes
         ]
         return "\t".join(header) + "\n" + "\t".join(row) + "\n"

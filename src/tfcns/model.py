@@ -21,6 +21,7 @@ Checkpoint container layout (little-endian):
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -31,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor
-from .data import config_kinds, format_config_text, pack_array, parse_config_value, read_config_lines, unpack_array
+from .data import (SEED_HELP, config_field, config_kinds, format_config_text, pack_array, parse_config_value,
+                   read_config_lines, unpack_array)
 from .errors import ClassOutOfRange, ConfigInvalid, FormatError, ShapeMismatch, VersionError
 from .layers import (
     CLAB,
@@ -56,32 +58,32 @@ MLP_VARIANT_CHOICES = tuple(MLP_BLOCKS)
 _DEPTH_DEFAULTS = (4, 4, 6, 8, 10)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Architectural hyperparameters. ``layers_per_block``, ``resmlp_hidden``
     and ``clab_kernels`` accept None for depth-/width-derived defaults."""
 
-    in_channels: int = 1
-    num_classes: int = 4
-    input_size: int = 224
-    first_conv_channels: int = 24
-    growth_rate: int = 12
-    layers_per_block: Optional[tuple] = None
-    patch_size: int = 16
-    embed_dim: int = 64
-    transformer_layers: int = 4
-    n_heads: int = 4
-    resmlp_hidden: Optional[int] = None
-    dropout_p: float = 0.1
-    skip_attention: str = "clab"
-    mlp_variant: str = "resmlp"
-    clab_branches: int = 4
-    clab_kernels: Optional[int] = None
-    seed: int = 0
+    in_channels: int = config_field(1, "image channels")
+    num_classes: int = config_field(4, "segmentation classes including background")
+    input_size: int = config_field(224, "square input side; must be divisible by patch_size")
+    first_conv_channels: int = config_field(24, "stem conv output channels")
+    growth_rate: int = config_field(12, "channels added per dense-block layer")
+    layers_per_block: Optional[tuple] = config_field(None, "per-stage dense layer counts, or 'auto'")
+    patch_size: int = config_field(16, "transformer patch size (8/16/32); sets encoder depth")
+    embed_dim: int = config_field(64, "token embedding width")
+    transformer_layers: int = config_field(4, "attention/feed-forward layer pairs")
+    n_heads: int = config_field(4, "attention heads")
+    resmlp_hidden: Optional[int] = config_field(None, "feed-forward hidden width, or 'auto'")
+    dropout_p: float = config_field(0.1, "dropout probability in blocks")
+    skip_attention: str = config_field("clab", "skip gate: " + " | ".join(SKIP_ATTENTION_CHOICES))
+    mlp_variant: str = config_field("resmlp", "feed-forward variant: " + " | ".join(MLP_VARIANT_CHOICES))
+    clab_branches: int = config_field(4, "gate branch count")
+    clab_kernels: Optional[int] = config_field(None, "kernels per gate branch, or 'auto'")
+    seed: int = config_field(0, SEED_HELP)
 
     @property
     def n_stages(self) -> int:
-        return int(round(np.log2(self.patch_size)))
+        return int(round(math.log2(self.patch_size)))  # np.log2 raises TypeError from 2**64 up
 
     def stage_layers(self) -> tuple:
         if self.layers_per_block is not None:
@@ -124,6 +126,8 @@ class ModelConfig:
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigInvalid(f"dropout_p {self.dropout_p} outside [0, 1)")
 
+    __post_init__ = validate  # a config is checked when built
+
 
 _MODEL_KINDS = config_kinds(ModelConfig)
 
@@ -151,7 +155,6 @@ class TFCNsModel(Module):
     head producing B x num_classes x H x W logits."""
 
     def __init__(self, cfg: ModelConfig, rng: Optional[np.random.Generator] = None, dtype=np.float32):
-        cfg.validate()
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
         # each submodule is cast as it is built, so at most one submodule's
@@ -386,8 +389,19 @@ def restore_parameters(model: TFCNsModel, params: dict) -> None:
 
 class _NoDraw:
     """Generator stand-in for a model whose parameters are about to be
-    overwritten: every init draw is zeros, so no random numbers are drawn."""
-    standard_normal = staticmethod(np.zeros)
+    overwritten: every init draw is zeros, so no random numbers are drawn.
+    The draws total at most ``budget`` elements, the checkpoint's parameter
+    count, so a config claiming a larger model fails before allocating it."""
+
+    def __init__(self, budget: int, source):
+        self.budget = budget
+        self.source = source
+
+    def standard_normal(self, shape) -> np.ndarray:
+        self.budget -= math.prod(shape)
+        if self.budget < 0:
+            raise FormatError(f"{self.source}: config describes more parameters than the file holds")
+        return np.zeros(shape)
 
 
 def model_from_checkpoint(path) -> tuple[TFCNsModel, Checkpoint]:
@@ -398,7 +412,8 @@ def model_from_checkpoint(path) -> tuple[TFCNsModel, Checkpoint]:
     dtypes = {arr.dtype.name for arr in ckpt.params.values()}
     if dtypes not in ({"float32"}, {"float64"}):
         raise FormatError(f"{path}: parameter records must be all float32 or all float64, got {sorted(dtypes)}")
-    model = build(ckpt.config, rng=_NoDraw(), dtype=dtypes.pop())
+    budget = sum(arr.size for arr in ckpt.params.values())
+    model = build(ckpt.config, rng=_NoDraw(budget, path), dtype=dtypes.pop())
     restore_parameters(model, ckpt.params)
     return model, ckpt
 

@@ -20,26 +20,28 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter
-from .data import SegmentationPair
-from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue
+from .data import SEED_HELP, SegmentationPair, config_field
+from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue, ShapeMismatch
 from .metrics import MetricReport, aggregate, combined_loss_parts, evaluate_case
 from .model import ModelConfig, TFCNsModel, build, predict, save_checkpoint
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 0.005
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    batch_size: int = 12
-    epochs: int = 150
-    lr_decay_at: int = 30000
-    lr_decay_factor: float = 0.1
-    seed: int = 0
-    augment_rotate: bool = True
-    augment_flip: bool = True
-    eval_every: int = 100
-    max_iterations: Optional[int] = None
+    """SGD schedule, augmentation and evaluation cadence, checked when built."""
+
+    lr: float = config_field(0.005, "base learning rate")
+    momentum: float = config_field(0.9, "SGD momentum")
+    weight_decay: float = config_field(1e-4, "coupled L2 weight decay")
+    batch_size: int = config_field(12, "training batch size")
+    epochs: int = config_field(150, "epochs when max_iterations is 'auto'")
+    lr_decay_at: int = config_field(30000, "iteration at which the step decay fires")
+    lr_decay_factor: float = config_field(0.1, "multiplier applied at lr_decay_at")
+    seed: int = config_field(0, SEED_HELP)
+    augment_rotate: bool = config_field(True, "enable random 90-degree rotations")
+    augment_flip: bool = config_field(True, "enable random flips")
+    eval_every: int = config_field(100, "iterations between evaluations (0 disables)")
+    max_iterations: Optional[int] = config_field(None, "iteration cap, or 'auto' for epoch-based")
 
     def validate(self) -> None:
         for name in ("lr", "momentum", "weight_decay"):
@@ -52,6 +54,8 @@ class TrainConfig:
         for name in ("eval_every", "max_iterations", "seed"):
             if (getattr(self, name) or 0) < 0:
                 raise ConfigInvalid(f"{name} {getattr(self, name)} must be non-negative")
+
+    __post_init__ = validate  # a config is checked when built
 
 
 @dataclass
@@ -210,9 +214,11 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
     output directory, writes the line-delimited training log and checkpoints
     at the end and at the best eval dice; an output directory whose
     training.log is not empty is refused."""
-    cfg.validate()
     if not dataset:
         raise ConfigInvalid("training dataset is empty")
+    shapes = {pair.image.shape for pair in dataset}
+    if len(shapes) > 1:  # a batch stacks its images
+        raise ShapeMismatch(f"training images differ in shape: {sorted(shapes)}")
     num_classes = model.cfg.num_classes
     params = model.parameters()  # the registry is fixed for the whole run
     state = OptimizerState.for_model(model)

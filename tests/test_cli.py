@@ -1,11 +1,14 @@
 """Command-line interface: schema-driven help, config merging, exit codes,
 and the five subcommands end to end on a small synthetic dataset."""
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
+import tfcns.cli
+import tfcns.errors
 from conftest import small_model_config
 from tfcns.cli import SCHEMA, RunConfig, build_parser, main
 from tfcns.data import (
@@ -16,7 +19,8 @@ from tfcns.data import (
     save_dataset,
     write_tensor,
 )
-from tfcns.model import build, save_checkpoint
+from tfcns.errors import ConfigInvalid, TfcnsError, VersionError
+from tfcns.model import ModelConfig, build, save_checkpoint
 from tfcns.training import TrainConfig, evaluate, train
 
 
@@ -97,6 +101,64 @@ class TestSchemaAndHelp:
         rc.load_file(cfg)
         rc.set("lr", "0.5")
         assert rc.train_config().lr == 0.5
+
+
+class TestDeclaredOnce:
+    """Each config key is declared on its dataclass field and each exit code
+    on its error class; the command line derives both."""
+
+    def test_schema_is_the_config_fields_plus_the_path_keys(self):
+        field_names = [f.name for cls in (ModelConfig, TrainConfig) for f in dataclasses.fields(cls)]
+        keys = [key for key, _, _ in SCHEMA]
+        assert keys == list(dict.fromkeys(field_names)) + ["dataset_dir", "output_dir", "checkpoint"]
+        assert all(help_text for _, _, help_text in SCHEMA)
+        for cls in (ModelConfig, TrainConfig):
+            assert all(f.metadata["help"] for f in dataclasses.fields(cls))
+
+    @pytest.mark.parametrize("cls, bad", [
+        (ModelConfig, dict(patch_size=12)), (ModelConfig, dict(n_heads=0)),
+        (ModelConfig, dict(dropout_p=1.0)), (ModelConfig, dict(skip_attention="cbam")),
+        (TrainConfig, dict(lr=float("nan"))), (TrainConfig, dict(batch_size=0)),
+        (TrainConfig, dict(lr_decay_factor=0.0)), (TrainConfig, dict(max_iterations=-1)),
+    ])
+    def test_an_invalid_config_cannot_be_constructed(self, cls, bad):
+        with pytest.raises(ConfigInvalid):
+            cls(**bad)
+        with pytest.raises(ConfigInvalid):
+            dataclasses.replace(cls(), **bad)
+
+    def test_configs_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ModelConfig().n_heads = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().lr = -1.0
+
+    # the exit code of every error class, as the command line has always mapped them
+    EXIT_CODES = {
+        "TfcnsError": 1, "NonFiniteValue": 1, "NotScalar": 1, "DetachedTensor": 1, "EmptyMask": 1,
+        "NonFiniteLoss": 1, "ShapeMismatch": 2, "ConfigInvalid": 2, "ClassOutOfRange": 2,
+        "FormatError": 2, "VersionError": 2, "DatasetError": 2,
+    }
+
+    def test_every_error_class_exits_with_its_code(self, monkeypatch, capsys):
+        classes = {name: cls for name, cls in vars(tfcns.errors).items()
+                   if isinstance(cls, type) and issubclass(cls, TfcnsError)}
+        assert classes.keys() == self.EXIT_CODES.keys()
+        for name, cls in [*classes.items(), ("OSError", OSError)]:
+            exc = cls(2, 1) if cls is VersionError else cls(f"{name} raised")
+
+            def fail(args, exc=exc):
+                raise exc
+
+            monkeypatch.setattr(tfcns.cli, "_load_run_config", fail)
+            assert main(["train"]) == (2 if cls is OSError else self.EXIT_CODES[name]), name
+            assert capsys.readouterr().err.startswith("error: "), name
+
+    def test_non_utf8_config_file_is_exit_2_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_bytes(b"\xff\xfelr = 0.1\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert str(cfg) in capsys.readouterr().err
 
 
 class TestTrainCommand:

@@ -107,15 +107,15 @@ class TestTensorFile:
 class TestImages:
     def test_checkerboard_ppm_bytes(self, tmp_path):
         mask = np.array([[0, 1], [1, 0]])
-        palette = [(0, 0, 0), (255, 255, 255)]
         path = tmp_path / "m.ppm"
-        D.write_mask_image(path, mask, palette)
+        D.write_mask_image(path, mask)
         blob = path.read_bytes()
         header = b"P6\n2 2\n255\n"
         assert blob.startswith(header)
         payload = blob[len(header):]
         assert len(payload) == 12
-        assert payload == bytes([0, 0, 0, 255, 255, 255, 255, 255, 255, 0, 0, 0])
+        background, one = D.MASK_PALETTE[0], D.MASK_PALETTE[1]
+        assert payload == bytes(background + one + one + background)
 
     def test_heatmap_zeros_map_to_lowest_entry(self, tmp_path):
         path = tmp_path / "h.ppm"
@@ -216,3 +216,16 @@ class TestDatasetDirectory:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DatasetError):
             D.load_dataset(tmp_path / "nope")
+
+    @pytest.mark.parametrize("value", [np.nan, 2.7], ids=["nan", "fraction"])
+    def test_float_mask_is_an_error_naming_the_file(self, value, tmp_path):
+        D.write_tensor(tmp_path / "c1.img.tnsr", np.zeros((1, 4, 4), dtype=np.float32))
+        D.write_tensor(tmp_path / "c1.msk.tnsr", np.full((4, 4), value, dtype=np.float32))
+        with pytest.raises(DatasetError, match="c1.msk.tnsr"):
+            D.load_dataset(tmp_path)
+
+    def test_u8_mask_loads_as_int32(self, tmp_path):
+        D.write_tensor(tmp_path / "c1.img.tnsr", np.zeros((1, 4, 4), dtype=np.float32))
+        D.write_tensor(tmp_path / "c1.msk.tnsr", np.full((4, 4), 3, dtype=np.uint8))
+        (pair,) = D.load_dataset(tmp_path)
+        assert pair.mask.dtype == np.int32 and np.all(pair.mask == 3)

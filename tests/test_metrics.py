@@ -189,14 +189,6 @@ class TestHD95:
             checked += 1
         assert checked > 150
 
-    def test_spacing_scales_distances(self):
-        a = np.zeros((6, 6), dtype=int)
-        b = np.zeros((6, 6), dtype=int)
-        a[1, 1] = 1
-        b[1, 4] = 1
-        assert M.hd95(a, b, 1, spacing=2.0) == pytest.approx(6.0, abs=1e-12)
-        assert M.hd95(a, b, 1, spacing=(1.0, 0.5)) == pytest.approx(1.5, abs=1e-12)
-
     def test_boundary_is_four_adjacent_and_border_counts(self):
         m = np.ones((3, 3), dtype=bool)
         boundary = M.boundary_pixels(m)
@@ -233,7 +225,7 @@ class TestAggregation:
     def test_tsv_layout(self):
         case = {0: M.ClassStats(100, 100, 0.0), 1: M.ClassStats(80, 70, 2.0),
                 2: M.ClassStats(60, 50, 4.0)}
-        text = M.aggregate([case]).to_tsv(method="TFCNs")
+        text = M.aggregate([case]).to_tsv()
         lines = text.splitlines()
         assert lines[0] == "Method\tDice(avg)\tHd95(avg)\tJaccard(avg)\tDice(class1)\tDice(class2)"
         assert lines[1].split("\t")[0] == "TFCNs"
