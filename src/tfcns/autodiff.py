@@ -205,10 +205,6 @@ def add(a: Tensor, b) -> Tensor:
     return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
-
-
 def mul(a: Tensor, b) -> Tensor:
     return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
@@ -216,15 +212,6 @@ def mul(a: Tensor, b) -> Tensor:
 def div(a: Tensor, b) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         return _binary("div", a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        return (g * 0.5 / data,)
-
-    return _out("sqrt", (a,), data, backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -335,25 +322,25 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _out("concat", tuple(tensors), data, backward)
 
 
-def _unreduce(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+def _unreduce(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
     """A reduction's output gradient broadcast back to its input ``shape``."""
-    if axis is not None and not keepdims:
+    if axis is not None:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         g = np.expand_dims(g, tuple(ax % len(shape) for ax in axes))
     return np.broadcast_to(g, shape)
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def reduce_sum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
     src_shape = a.data.shape
-    return _out("sum", (a,), data, lambda g: (_unreduce(g, src_shape, axis, keepdims),))
+    return _out("sum", (a,), data, lambda g: (_unreduce(g, src_shape, axis),))
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+def reduce_mean(a: Tensor, axis=None) -> Tensor:
+    data = a.data.mean(axis=axis)
     src_shape = a.data.shape
     n = a.data.size // data.size
-    return _out("mean", (a,), data, lambda g: (_unreduce(g / n, src_shape, axis, keepdims),))
+    return _out("mean", (a,), data, lambda g: (_unreduce(g / n, src_shape, axis),))
 
 
 # ---------------------------------------------------------------------------
@@ -603,34 +590,31 @@ def avg_pool(x: Tensor) -> Tensor:
     return _out("avg_pool", (x,), data, backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Zero mean / unit variance (variance offset by 1e-6) over the last
-    (feature) axis, then affine."""
+def normalize(x: Tensor, eps: float) -> Tensor:
+    """Zero mean and unit variance over the last axis: (x - mean) / sqrt(var + eps).
+    The tape keeps the output and the per-row sqrt(var + eps)."""
     xd = x.data
-    d = xd.shape[-1]
+    xmu = xd - xd.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(xmu * xmu, axis=-1, keepdims=True) + eps)
+    data = xmu / std
+
+    def backward(g):
+        gc = g - g.mean(axis=-1, keepdims=True)
+        gc -= data * np.mean(g * data, axis=-1, keepdims=True)
+        gc /= std
+        return (gc,)
+
+    return _out("normalize", (x,), data, backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``normalize`` with eps 1e-6 over the last (feature) axis, then affine."""
+    d = x.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeMismatch(
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} do not match feature dim {d}"
         )
-    mu = xd.mean(axis=-1, keepdims=True)
-    xmu = xd - mu
-    var = np.mean(xmu * xmu, axis=-1, keepdims=True)
-    ivar = 1.0 / np.sqrt(var + 1e-6)
-    xhat = xmu * ivar
-    data = xhat * gamma.data + beta.data
-
-    def backward(g):
-        gbeta = g.reshape(-1, d).sum(axis=0)
-        ggamma = (g * xhat).reshape(-1, d).sum(axis=0)
-        gxhat = g * gamma.data
-        gx = ivar * (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * np.mean(gxhat * xhat, axis=-1, keepdims=True)
-        )
-        return gx, ggamma, gbeta
-
-    return _out("layer_norm", (x, gamma, beta), data, backward)
+    return add(mul(normalize(x, 1e-6), gamma), beta)
 
 
 def _dropout_keep(x: np.ndarray, p: float, rng: Optional[np.random.Generator]):
@@ -677,11 +661,11 @@ def backward(loss: Tensor) -> None:
     for exactly one input, it is no view (``base is None``) and it is not the
     same object as another gradient of that node (``add(a, b)`` hands one
     array to both). A node that hands its own ``g`` on (``add`` with a
-    constant, ``sub``'s first operand) passes ownership only if ``g`` was
-    owned. A repeated id is summed with ``+=`` into an owned entry whose dtype
-    holds the sum (the same bits as a new sum), else into a new array. A node
-    that writes into its gradient (``dense_block``) gets an owned ``g``: the
-    engine copies ``g`` first only if it is not owned.
+    constant) passes ownership only if ``g`` was owned. A repeated id is
+    summed with ``+=`` into an owned entry whose dtype holds the sum (the
+    same bits as a new sum), else into a new array. A node that writes into
+    its gradient (``dense_block``) gets an owned ``g``: the engine copies
+    ``g`` first only if it is not owned.
     """
     if loss.data.size != 1:
         raise NotScalar(f"backward() needs a scalar loss, got shape {loss.shape}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import (config_kinds, format_config_text, load_dataset, parse_config_value, read_config_lines,
                    read_image, write_cam_overlay, write_heatmap, write_mask_image, write_tensor)
-from .errors import ConfigInvalid, DatasetError, ShapeMismatch, TfcnsError
+from .errors import ConfigInvalid, DatasetError, TfcnsError
 from .model import (
     _MODEL_KINDS,
     ModelConfig,
@@ -125,16 +125,6 @@ def _load_model(rc: RunConfig) -> TFCNsModel:
     return model
 
 
-def _load_image(path, cfg) -> np.ndarray:
-    image = read_image(path)
-    if image.shape != (cfg.in_channels, cfg.input_size, cfg.input_size):
-        raise ShapeMismatch(
-            f"image shape {tuple(image.shape)} does not match checkpoint input "
-            f"({cfg.in_channels}, {cfg.input_size}, {cfg.input_size})"
-        )
-    return image
-
-
 def cmd_train(rc: RunConfig, args) -> None:
     model_cfg, train_cfg = rc.model_config(), rc.train_config()
     out = _require_out_dir(rc)
@@ -160,7 +150,7 @@ def cmd_eval(rc: RunConfig, args) -> None:
 def cmd_predict(rc: RunConfig, args) -> None:
     model = _load_model(rc)
     out = _require_out_dir(rc)
-    image = _load_image(args.image, model.cfg)
+    image = read_image(args.image)
     mask = predict(model, image[None])[0]
     write_tensor(out / "mask.tnsr", mask.astype(np.int32))
     write_mask_image(out / "mask.ppm", mask)
@@ -169,7 +159,7 @@ def cmd_predict(rc: RunConfig, args) -> None:
 def cmd_cam(rc: RunConfig, args) -> None:
     model = _load_model(rc)
     out = _require_out_dir(rc)
-    image = _load_image(args.image, model.cfg)
+    image = read_image(args.image)
     heat = class_activation_map(model, image[None], args.target_class)[0]
     write_heatmap(out / "heatmap.ppm", heat)
     write_cam_overlay(out / "overlay.ppm", heat, threshold=args.threshold, image=image)

@@ -52,7 +52,7 @@ DTYPE_TAGS = {
     2: np.dtype("u1"),
     3: np.dtype("<i4"),
 }
-_TAG_FOR_KIND = {("f", 4): 0, ("f", 8): 1, ("u", 1): 2, ("i", 4): 3}
+_TAG_FOR_KIND = {(d.kind, d.itemsize): tag for tag, d in DTYPE_TAGS.items()}
 
 
 def _tag_for(arr: np.ndarray) -> int:
@@ -120,8 +120,13 @@ def read_tensor(path) -> np.ndarray:
 
 
 def read_image(path) -> np.ndarray:
-    """A C x H x W float32 image from a TNSR file; a 2-D file is one channel."""
-    image = read_tensor(path).astype(np.float32)
+    """A C x H x W float32 image from a TNSR file; a 2-D file is one channel.
+    Raises FormatError, naming the file, if the float32 image is not finite
+    (a float64 value beyond float32 range overflows to inf)."""
+    with np.errstate(over="ignore"):
+        image = read_tensor(path).astype(np.float32)
+    if not np.all(np.isfinite(image)):
+        raise FormatError(f"{path}: image is not finite in float32")
     return image[None] if image.ndim == 2 else image
 
 

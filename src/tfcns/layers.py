@@ -280,10 +280,8 @@ class _BranchGate(Module):
         w = ad.concat([conv.weight for conv in self.branches], axis=0)
         w = ad.reduce_mean(ad.reshape(w, (n, self.branch_kernels, c, 1, 1)), axis=1)
         m = ad.conv2d(x, w)
-        mu = ad.reduce_mean(m, axis=(2, 3), keepdims=True)
-        centered = ad.sub(m, mu)
-        var = ad.reduce_mean(ad.mul(centered, centered), axis=(2, 3), keepdims=True)
-        return ad.div(centered, ad.sqrt(ad.add(var, self.eps))), ad.reshape(mu, (b, n))
+        normed = ad.normalize(ad.reshape(m, (b, n, -1)), self.eps)
+        return ad.reshape(normed, m.shape), ad.reduce_mean(m, axis=(2, 3))
 
     def _channel_logits(self, branch_means: Tensor) -> Tensor:
         b = branch_means.shape[0]

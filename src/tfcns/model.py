@@ -220,14 +220,10 @@ class TFCNsModel(Module):
     def features(self, x, rng: Optional[np.random.Generator] = None) -> Tensor:
         """The last decoder block's output, the feature maps the head reads."""
         x = self._to_tensor(x)
-        cfg = self.cfg
-        if x.ndim != 4 or x.shape[1] != cfg.in_channels:
-            raise ShapeMismatch(f"input must be B x {cfg.in_channels} x H x W, got {x.shape}")
-        if x.shape[2] != cfg.input_size or x.shape[3] != cfg.input_size:
-            raise ShapeMismatch(
-                f"input spatial dims {x.shape[2]}x{x.shape[3]} differ from "
-                f"configured {cfg.input_size}x{cfg.input_size}"
-            )
+        sample = (self.cfg.in_channels, self.cfg.input_size, self.cfg.input_size)
+        if x.shape[1:] != sample:
+            raise ShapeMismatch(f"input sample shape {x.shape[1:]} differs from the configured "
+                                f"(in_channels, input_size, input_size) {sample}")
 
         # A dense block empties its input list once copied, so no name here
         # keeps a block's inputs alive during its call.

@@ -256,14 +256,23 @@ class TestEvalCommand:
 
 
 class TestPredictCommand:
-    def test_shape_mismatch_prints_both_shapes(self, trained_checkpoint, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["predict"], ["cam", "--target-class", "0"]], ids=["predict", "cam"])
+    def test_shape_mismatch_prints_both_shapes(self, command, trained_checkpoint, tmp_path, capsys):
         bad = tmp_path / "bad.img.tnsr"
         write_tensor(bad, np.zeros((1, 8, 8), dtype=np.float32))
-        rc = main(["predict", "--set", f"checkpoint={trained_checkpoint}",
+        rc = main([*command, "--set", f"checkpoint={trained_checkpoint}",
                    "--image", str(bad), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert "(1, 8, 8)" in err and "(1, 16, 16)" in err
+
+    def test_float64_image_beyond_float32_range_is_exit_2(self, trained_checkpoint, tmp_path, capsys):
+        bad = tmp_path / "huge.img.tnsr"
+        write_tensor(bad, np.full((1, 16, 16), 1e300))
+        rc = main(["predict", "--set", f"checkpoint={trained_checkpoint}",
+                   "--image", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "huge.img.tnsr" in capsys.readouterr().err
 
     def test_image_dims_whose_product_wraps_int64_is_exit_2(self, trained_checkpoint, tmp_path, capsys):
         bad = tmp_path / "bad.tnsr"  # 65536**4 == 2**64 elements claimed, none present

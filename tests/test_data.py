@@ -224,6 +224,14 @@ class TestDatasetDirectory:
         with pytest.raises(DatasetError, match="c1.msk.tnsr"):
             D.load_dataset(tmp_path)
 
+    def test_nan_image_is_an_error_naming_the_file(self, tmp_path):
+        image = np.zeros((1, 4, 4), dtype=np.float32)
+        image[0, 1, 2] = np.nan
+        D.write_tensor(tmp_path / "c1.img.tnsr", image)
+        D.write_tensor(tmp_path / "c1.msk.tnsr", np.zeros((4, 4), dtype=np.int32))
+        with pytest.raises(FormatError, match="c1.img.tnsr"):
+            D.load_dataset(tmp_path)
+
     def test_u8_mask_loads_as_int32(self, tmp_path):
         D.write_tensor(tmp_path / "c1.img.tnsr", np.zeros((1, 4, 4), dtype=np.float32))
         D.write_tensor(tmp_path / "c1.msk.tnsr", np.full((4, 4), 3, dtype=np.uint8))
