@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import DetachedTensor, NonFiniteValue, NotScalar, ShapeMismatch
 
@@ -27,6 +26,10 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # an np.float64 constant here would promote every float32 activation.
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Elements of one band's largest working array (1 MB in float32): a conv's
+# per-tap GEMM output, per-tap gradient or input gradient, or one of erf's
+# temporaries.
+_BAND_ELEMS = 1 << 18
 
 
 def _contig(arr: np.ndarray) -> np.ndarray:
@@ -182,36 +185,61 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def _binary(op: str, a: Tensor, b, data_fn, grad_a, grad_b) -> Tensor:
     """Elementwise ``data_fn(a, b)`` under numpy broadcasting. ``b`` may be a
     Tensor, an array or a Python scalar; a non-Tensor ``b`` is cast to ``a``'s
-    dtype and gets no gradient. ``grad_a(g, a, b)`` and ``grad_b(g, a, b)``
-    give each operand's gradient at the broadcast shape, and backward sums
-    each back to its operand's shape. A ``grad_a`` that returns ``g`` itself
-    hands ``g`` on uncopied (see backward())."""
+    dtype and gets no gradient. ``grad_a(a, b)`` and ``grad_b(a, b)`` return
+    a function of ``g`` that gives the operand's gradient at the broadcast
+    shape, and backward sums it back to the operand's shape. They are called
+    only for an operand the tape records, so the node keeps only the arrays
+    those functions read, and the operand shapes. A gradient that returns
+    ``g`` itself hands ``g`` on uncopied (see backward())."""
     xd = a.data
     yd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=xd.dtype)
+    data = data_fn(xd, yd)
+    record = _recorder((a, b))
+    if record is None:
+        return _wrap_out(op, None, data, None)
+    id_a, id_b = record[1]
+    shapes = (xd.shape, yd.shape)
+    grads = (grad_a(xd, yd) if id_a is not None else None,
+             grad_b(xd, yd) if id_b is not None else None)
 
     def backward(g):
-        ga = _unbroadcast(grad_a(g, xd, yd), xd.shape)
-        gb = _unbroadcast(grad_b(g, xd, yd), yd.shape) if isinstance(b, Tensor) else None
-        return ga, gb
+        return tuple(None if fn is None else _unbroadcast(fn(g), shape) for fn, shape in zip(grads, shapes))
 
-    return _out(op, (a, b), data_fn(xd, yd), backward)
+    return _wrap_out(op, record, data, backward)
 
 
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
 
+# Each gradient factory below is a closure over only the operands it reads.
+def _pass(x, y):
+    return lambda g: g
+
+
 def add(a: Tensor, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary("add", a, b, np.add, _pass, _pass)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary("mul", a, b, np.multiply, lambda x, y: lambda g: g * y, lambda x, y: lambda g: g * x)
 
 
 def div(a: Tensor, b) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _binary("div", a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+        return _binary("div", a, b, np.divide, lambda x, y: lambda g: g / y,
+                       lambda x, y: lambda g: -g * x / (y * y))
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)) of an array, in its dtype,
+    computed in one new array. Where exp(-x) overflows to inf the result is
+    its limit, 0."""
+    out = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -225,16 +253,90 @@ def sigmoid(a: Tensor) -> Tensor:
     return _out("sigmoid", (a,), data, backward)
 
 
+# erf in float32: Eigen's generic_fast_erf_float (also XLA's), x * P(x^2) / Q(x^2)
+# with x clamped to [-4, 4]. Coefficients highest power first.
+_ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+            -1.60960333262415e-02)
+_ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+            -7.37332916720468e-03, -1.42647390514189e-02)
+# erf in float64: Cephes ndtr.c, x * T(x^2) / U(x^2) for |x| <= 1, else
+# 1 - exp(-x^2) * P(|x|) / Q(|x|).
+_ERF64_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+            7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF64_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+            2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF64_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF64_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+            1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(x: np.ndarray, coefs: tuple, out: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coefs`` (highest power first) at x, by Horner's
+    rule into ``out`` (Cephes polevl; a leading 1.0 gives p1evl's bits)."""
+    np.multiply(x, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        out += c
+        out *= x
+    out += coefs[-1]
+    return out
+
+
+def _erf32_band(x: np.ndarray, bufs: list) -> None:
+    np.clip(x, -4.0, 4.0, out=x)
+    x2 = np.multiply(x, x, out=bufs[0])
+    x *= _horner(x2, _ERF32_P, bufs[1])
+    x /= _horner(x2, _ERF32_Q, bufs[2])
+
+
+def _erf64_band(x: np.ndarray, bufs: list) -> None:
+    a = np.minimum(np.abs(x, out=bufs[0]), 8.0, out=bufs[0])  # erfc(8) < 1e-27: erf is 1 there
+    z = np.multiply(a, a, out=bufs[1])
+    small = _horner(z, _ERF64_T, bufs[2])
+    small *= a
+    small /= _horner(z, _ERF64_U, bufs[3])
+    big = np.exp(np.negative(z, out=z), out=z)
+    big *= _horner(a, _ERF64_P, bufs[3])
+    big /= _horner(a, _ERF64_Q, bufs[3])
+    np.subtract(1.0, big, out=big)
+    np.copyto(big, small, where=a <= 1.0)
+    np.copysign(big, x, out=x)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a contiguous float32 or float64 array, in place, in bands of
+    _BAND_ELEMS elements whose few temporaries are reused from band to band;
+    returns x. float64 is within 1 ulp of Cephes; float32 is within 8 ulp."""
+    flat = x.reshape(-1)
+    band, n_bufs = (_erf32_band, 3) if x.dtype == np.float32 else (_erf64_band, 4)
+    bufs = [np.empty(min(flat.size, _BAND_ELEMS), x.dtype) for _ in range(n_bufs)]
+    for s in range(0, flat.size, _BAND_ELEMS):
+        xs = flat[s:s + _BAND_ELEMS]
+        band(xs, [b[:xs.size] for b in bufs])
+    return x
+
+
 def _gelu_forward(x: np.ndarray):
     """(x * Phi(x), Phi(x)) with the exact Gaussian CDF (erf form, not the tanh fit)."""
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, cdf
 
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d gelu / dx = Phi(x) + x * phi(x); backward is g * slope."""
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return cdf + x * pdf
+    """d gelu / dx = Phi(x) + x * phi(x), in one new array; backward is g * slope."""
+    slope = np.multiply(x, -0.5)
+    with np.errstate(over="ignore"):  # -x^2/2 beyond the dtype's range is -inf; exp gives its limit, 0
+        slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= x
+    slope += cdf
+    return slope
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -371,11 +473,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _out("matmul", (a, b), data, backward)
-
-
-# Elements of one band's largest working array: its per-tap GEMM output,
-# per-tap gradient or input gradient (1 MB in float32).
-_BAND_ELEMS = 1 << 18
 
 
 def _conv_bands(xshape: tuple, kh: int, kw: int, o: int):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
@@ -295,7 +294,7 @@ class CLAB(_BranchGate):
     Output shape equals input shape. ``last_gate`` is built on read as
     sigmoid(spatial + channel) from the two kept logit factors."""
 
-    _combine = staticmethod(lambda spatial, channel: expit(spatial + channel))
+    _combine = staticmethod(lambda spatial, channel: ad.expit(spatial + channel))
 
     def forward(self, x: Tensor) -> Tensor:
         xm, means = self._branch_features(x)

@@ -9,6 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf, expit
 
 import tfcns.autodiff as ad
 import tfcns.layers as L
@@ -558,6 +559,42 @@ class TestElementwise:
         expected = 1.0 * 0.5 * (1.0 + erf_series(1.0 / np.sqrt(2.0)))
         assert abs(ad.gelu(t64([1.0])).data[0] - expected) < 1e-12
 
+    def test_float64_erf_within_one_ulp_of_scipy(self):
+        edges = [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 8.0, -8.0, 0.0, -0.0, 1e-300]
+        x = np.concatenate([np.linspace(-10.0, 10.0, 2_000_001), edges])
+        got, want = ad._erf(x.copy()), erf(x)
+        assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 1.0
+        assert np.isnan(ad._erf(np.array([np.nan, 0.5]))[0])
+
+    def test_float32_erf_and_gelu_error_against_float64(self):
+        x = np.linspace(-10.0, 10.0, 2_000_001).astype(np.float32)
+        want = erf(x.astype(F64))
+        ulps = np.abs(ad._erf(x.copy()) - want) / np.spacing(np.abs(want).astype(np.float32))
+        assert ulps.max() <= 8.0
+        x = np.linspace(-30.0, 30.0, 4_000_001).astype(np.float32)
+        y32, y64 = ad.gelu(Tensor(x)).data, ad.gelu(t64(x)).data
+        assert y32.dtype == np.float32
+        assert np.max(np.abs(y32 - y64)) <= 1.4e-6  # scipy's float32 erf gave 4.5e-7
+
+    @pytest.mark.parametrize("dtype,limit", [(np.float32, 100.0), (np.float64, 800.0)])
+    def test_sigmoid_within_four_ulp_of_scipy(self, dtype, limit):
+        # both overflow exp(-x) to inf below about -88.7 (float32) or -709.8 (float64) and give 0
+        x = np.linspace(-limit, limit, 4_000_001).astype(dtype)
+        got, want = ad.sigmoid(Tensor(x)).data, expit(x)
+        assert got.dtype == dtype
+        assert np.array_equal(got == 0, want == 0)
+        assert np.max(np.abs(got - want) / np.spacing(want)) <= 4.0
+
+    @pytest.mark.parametrize("dtype,big", [(np.float32, 1e20), (np.float64, 1e200)])
+    def test_taped_gelu_of_huge_inputs_without_warnings(self, dtype, big):
+        x = Tensor(np.array([-big, big, 0.0]), dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with Tape() as tape:
+                tape.watch(x)
+                backward(ad.reduce_sum(ad.gelu(x)))
+        assert np.array_equal(x.grad, [0.0, 1.0, 0.5])
+
     def test_gelu_grad(self, rng):
         x = t64(rng.standard_normal(11))
         w = rng.standard_normal(11)
@@ -604,6 +641,22 @@ class TestElementwise:
         with pytest.raises(NonFiniteValue):  # 1 / (1e-5 - eps) divides by exactly 0 on the minus probe
             grad_check(lambda t: ad.reduce_sum(ad.div(ones, t)), x, eps=1e-5)
         assert np.array_equal(x.data, before)
+
+    def test_taped_layer_norm_keeps_the_normalized_map_and_output(self, rng):
+        x = Tensor(rng.standard_normal((1, 196, 384)), dtype=np.float32)
+        gamma = Tensor(rng.standard_normal(384), dtype=np.float32)
+        beta = Tensor(rng.standard_normal(384), dtype=np.float32)
+        with Tape() as tape:
+            for t in (x, gamma, beta):
+                tape.watch(t)
+            tracemalloc.start()
+            try:
+                y = ad.layer_norm(x, gamma, beta)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        # normalize keeps its output and add keeps no operand: not the mul output
+        assert kept <= 600 * 1024 and len(tape.nodes) == 3 and y.shape == x.shape
 
     def test_binary_grads_with_broadcast(self, rng):
         a = t64(rng.standard_normal((3, 4)))

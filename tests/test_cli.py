@@ -2,7 +2,11 @@
 and the five subcommands end to end on a small synthetic dataset."""
 
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from tfcns.data import (
 from tfcns.errors import ConfigInvalid, TfcnsError, VersionError
 from tfcns.model import ModelConfig, build, save_checkpoint
 from tfcns.training import TrainConfig, evaluate, train
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,19 @@ class TestSchemaAndHelp:
         text = capsys.readouterr().out
         for key, _, _ in SCHEMA:
             assert key in text, key
+
+    def test_help_in_a_fresh_interpreter_loads_no_scipy(self):
+        """numpy is the only runtime dependency: importing the command shell
+        (and so every module it imports) and running `tfcns --help` load no scipy."""
+        snippet = ("import sys; sys.argv = ['tfcns', '--help']; import tfcns.cli\n"
+                   "try:\n    tfcns.cli.entrypoint()\nexcept SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
+                             cwd=ROOT, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
+        assert run.returncode == 0, f"child exited {run.returncode}:\n{run.stderr}"
+        assert "usage: tfcns" in run.stdout
+        assert run.stdout.splitlines()[-1] == "[]"
 
     def test_unknown_set_key_is_exit_2(self, capsys):
         rc = main(["train", "--set", "learning=1"])

@@ -7,9 +7,10 @@ import pytest
 import tfcns.autodiff as ad
 import tfcns.metrics as M
 from tfcns.autodiff import Tensor, Tape, backward, grad_check_tensors
+from tfcns.data import SyntheticSpec, generate_synthetic
 from tfcns.errors import ClassOutOfRange, EmptyMask
 
-from oracles import hd95_bruteforce, soft_dice_direct
+from oracles import hd95_bruteforce, hd95_edt, soft_dice_direct
 
 F64 = np.float64
 
@@ -188,6 +189,61 @@ class TestHD95:
             assert M.hd95(a, b, 1) == expected
             checked += 1
         assert checked > 150
+
+    @staticmethod
+    def _edge_case_masks():
+        """(pred, ref) pairs: single pixels, full masks, border lines, and
+        masks whose every column but one is empty."""
+        def mask(h, w, *cells):
+            m = np.zeros((h, w), dtype=np.int32)
+            for i, j in cells:
+                m[i, j] = 1
+            return m
+        full = np.ones((64, 64), dtype=np.int32)
+        column = np.zeros((64, 64), dtype=np.int32)
+        column[:, 63] = 1
+        return [
+            (mask(1, 1, (0, 0)), mask(1, 1, (0, 0))),
+            (mask(64, 64, (0, 0)), mask(64, 64, (63, 63))),
+            (full, mask(64, 64, (31, 17))),
+            (full, full),
+            (column, mask(64, 64, (0, 0), (63, 0))),
+            (column.T.copy(), column),
+            (mask(1, 64, (0, 3)), np.ones((1, 64), dtype=np.int32)),
+            (np.ones((64, 1), dtype=np.int32), mask(64, 1, (40, 0))),
+        ]
+
+    def test_bit_identical_to_distance_transform_oracle(self):
+        rng = np.random.default_rng(19)
+        pairs = self._edge_case_masks()
+        while len(pairs) < 300:
+            h, w = (int(n) for n in rng.integers(1, 65, 2))
+            a, b = (random_mask(rng, h, w, p=float(rng.uniform(0.02, 0.9))) for _ in range(2))
+            for m in (a, b):  # empty some columns, so that no target sits in them
+                m[:, rng.random(w) < 0.3] = 0
+            if a.any() and b.any():
+                pairs.append((a, b))
+        for a, b in pairs:
+            assert M.hd95(a, b, 1) == hd95_edt(a, b, 1), (a.shape, a.sum(), b.sum())
+
+    def test_bit_identical_to_oracle_on_a_224_map_of_nine_classes(self):
+        ref = generate_synthetic(SyntheticSpec(n_cases=1, height=224, width=224, num_classes=9,
+                                               noise_sigma=0.02, seed=3, radius_min=12, radius_max=30))[0].mask
+        rng = np.random.default_rng(4)
+        pred = np.roll(ref, (2, -3), axis=(0, 1))
+        noisy = rng.random(pred.shape) < 0.02
+        pred[noisy] = rng.integers(0, 9, int(noisy.sum()))
+        for c in range(9):
+            assert M.hd95(pred, ref, c) == hd95_edt(pred, ref, c), c
+
+    def test_wide_map_sums_squares_without_overflow(self):
+        # 5 * 21000^2 >= 2^31: an empty column's squared distance plus dx^2 would wrap in int32
+        a = np.zeros((1, 21000), dtype=np.int32)
+        b = np.zeros((1, 21000), dtype=np.int32)
+        a[0, :50] = 1
+        b[0, 20900:] = 1
+        assert M.hd95(a, b, 1) == hd95_edt(a, b, 1)
+        assert 20851 <= M.hd95(a, b, 1) <= 20950  # the nearest and farthest boundary pairs
 
     def test_boundary_is_four_adjacent_and_border_counts(self):
         m = np.ones((3, 3), dtype=bool)
