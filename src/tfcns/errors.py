@@ -61,3 +61,7 @@ class DatasetError(TfcnsError):
 
 class NonFiniteLoss(TfcnsError):
     """Training produced a non-finite loss value and was aborted."""
+
+
+class WorkerFailed(TfcnsError):
+    """A training worker process failed or exited before the run ended."""

@@ -18,6 +18,7 @@ Conventions, pinned so golden values stay stable:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -53,42 +54,80 @@ def _check_logits_target(logits: Tensor, target: np.ndarray) -> None:
         )
 
 
-def dice_loss(logits: Tensor, target: np.ndarray, num_classes: int) -> Tensor:
-    """Soft Dice over softmax probabilities, averaged over all classes:
-    mean_c [1 - (2*sum(p_c*g_c) + s) / (sum(p_c) + sum(g_c) + s)]."""
+@dataclass(frozen=True)
+class LossSums:
+    """The sums one chunk of a batch adds to the loss: per class, the soft
+    Dice intersection sum(p*g), prediction sum sum(p) and target sum sum(g),
+    then the sum over pixels of the log probability at the target class and
+    the pixel count. Taped where ``loss_sums`` computed them from taped logits."""
+
+    inter: Tensor
+    psum: Tensor
+    gsum: np.ndarray
+    log_p: Tensor
+    pixels: int
+
+    def detached(self) -> "LossSums":
+        """The same sums as constants: no tape, and picklable."""
+        return LossSums(Tensor(self.inter.data), Tensor(self.psum.data), self.gsum,
+                        Tensor(self.log_p.data), self.pixels)
+
+
+def loss_sums(logits: Tensor, target: np.ndarray, num_classes: int) -> LossSums:
+    """The loss sums of one chunk's B x K x H x W logits and B x H x W mask."""
     _check_logits_target(logits, target)
     if logits.shape[1] != num_classes:
         raise ShapeMismatch(f"logits carry {logits.shape[1]} classes, expected {num_classes}")
     g = one_hot(target, num_classes, dtype=logits.dtype)
     p = ad.softmax(logits, axis=1)
-    inter = ad.reduce_sum(ad.mul(p, g), axis=(0, 2, 3))
-    psum = ad.reduce_sum(p, axis=(0, 2, 3))
-    gsum = g.sum(axis=(0, 2, 3))
+    picked = ad.reduce_sum(ad.mul(ad.log_softmax(logits, axis=1), g), axis=1)
+    return LossSums(
+        inter=ad.reduce_sum(ad.mul(p, g), axis=(0, 2, 3)),
+        psum=ad.reduce_sum(p, axis=(0, 2, 3)),
+        gsum=g.sum(axis=(0, 2, 3)),
+        log_p=ad.reduce_sum(picked),
+        pixels=picked.size,
+    )
+
+
+def loss_from_sums(chunks: Sequence[LossSums]) -> tuple[Tensor, Tensor, Tensor]:
+    """(total, dice part, cross-entropy part) of a batch from its chunks' sums,
+    added in chunk order, with equal 0.5 weights. The soft Dice part is
+    mean_c [1 - (2*sum(p_c*g_c) + s) / (sum(p_c) + sum(g_c) + s)] over all
+    classes; the cross-entropy part is the mean over pixels of -log p at the
+    target class. Gradients reach the taped sums only, so a chunk whose own
+    sums are taped and the others' constant gets its exact share."""
+    inter, psum, log_p = (functools.reduce(ad.add, (getattr(c, f) for c in chunks))
+                          for f in ("inter", "psum", "log_p"))
+    gsum = functools.reduce(np.add, (c.gsum for c in chunks))
     dice = ad.div(
         ad.add(ad.mul(inter, 2.0), DICE_SMOOTHING),
         ad.add(ad.add(psum, gsum), DICE_SMOOTHING),
     )
-    return ad.add(ad.mul(ad.reduce_mean(dice), -1.0), 1.0)
-
-
-def cross_entropy_loss(logits: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over pixels of -log softmax probability at the target class."""
-    _check_logits_target(logits, target)
-    g = one_hot(target, logits.shape[1], dtype=logits.dtype)
-    picked = ad.reduce_sum(ad.mul(ad.log_softmax(logits, axis=1), g), axis=1)
-    return ad.mul(ad.reduce_mean(picked), -1.0)
+    d = ad.add(ad.mul(ad.reduce_mean(dice), -1.0), 1.0)
+    c = ad.mul(ad.div(log_p, sum(c.pixels for c in chunks)), -1.0)
+    return ad.add(ad.mul(d, 0.5), ad.mul(c, 0.5)), d, c
 
 
 def combined_loss_parts(logits: Tensor, target: np.ndarray, num_classes: int) -> tuple[Tensor, Tensor, Tensor]:
-    """(total, dice part, cross-entropy part) with equal 0.5 weights."""
-    d = dice_loss(logits, target, num_classes)
-    c = cross_entropy_loss(logits, target)
-    return ad.add(ad.mul(d, 0.5), ad.mul(c, 0.5)), d, c
+    """(total, dice part, cross-entropy part) of a batch in one chunk."""
+    return loss_from_sums([loss_sums(logits, target, num_classes)])
 
 
 def combined_loss(logits: Tensor, target: np.ndarray, num_classes: int) -> Tensor:
     """0.5 * soft Dice + 0.5 * cross-entropy."""
     return combined_loss_parts(logits, target, num_classes)[0]
+
+
+def dice_loss(logits: Tensor, target: np.ndarray, num_classes: int) -> Tensor:
+    """The soft Dice part of ``loss_from_sums`` for a batch in one chunk."""
+    return combined_loss_parts(logits, target, num_classes)[1]
+
+
+def cross_entropy_loss(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean over pixels of -log softmax probability at the target class."""
+    _check_logits_target(logits, target)
+    return combined_loss_parts(logits, target, logits.shape[1])[2]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,31 @@ Determinism contract: every stochastic choice of iteration ``i`` (batch
 sampling, augmentation draws, dropout masks) derives from
 ``SeedSequence(seed, spawn_key=(i,))``, so a fixed seed reproduces the loss
 trajectory bit-for-bit and checkpoints only need the iteration counter to
-describe the generator state.
+describe the generator state. The bits depend on the seed, the iteration
+and the batch size, not on how many CPUs the machine has.
+
+A step with B >= 2 runs as two chunks, the first ceil(B/2) samples and the
+rest. Each chunk runs a taped forward with the rows of the batch-wide dropout
+masks that are its own, and turns its logits into loss sums. The sums are
+added in chunk order, so both chunks see the same loss; each chunk's backward
+holds the other chunk's sums constant, so its gradient is its exact share,
+and the step applies the sum of the two shares. Where two CPUs are usable
+and ``fork`` exists, one worker process forked for the run takes chunk 1
+of every step on its own replica of the model and the optimizer state: the
+two processes swap loss sums over a pipe and gradients through shared
+memory, and both apply the same update. Otherwise this process runs both
+chunks, with the same bits. A step with B = 1 is one chunk in this process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
+import ctypes
+import math
+import mmap
+import os
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -21,8 +40,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter
 from .data import SEED_HELP, SegmentationPair, config_field
-from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue, ShapeMismatch
-from .metrics import MetricReport, aggregate, combined_loss_parts, evaluate_case
+from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue, ShapeMismatch, WorkerFailed
+from .metrics import (  # noqa: F401  (combined_loss_parts: perfbench's tracer wraps this name)
+    MetricReport, aggregate, combined_loss_parts, evaluate_case, loss_from_sums, loss_sums,
+)
 from .model import ModelConfig, TFCNsModel, build, predict, save_checkpoint
 
 
@@ -206,6 +227,227 @@ def refuse_existing_log(out_dir) -> None:
         raise ConfigInvalid(f"{log_path} already holds a training log; choose a new output directory")
 
 
+def _chunk_plan(batch_size: int) -> list:
+    """Sample ranges [(s0, s1)] of a step's chunks: the first ceil(B/2)
+    samples and the rest, or one chunk when B = 1."""
+    if batch_size == 1:
+        return [(0, 1)]
+    half = (batch_size + 1) // 2
+    return [(0, half), (half, batch_size)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (1 where the platform cannot tell)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _openblas_threads() -> Optional[tuple]:
+    """(get, set) of the thread count of the OpenBLAS that numpy calls, or
+    None where numpy uses another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    lib = ctypes.CDLL(core.__file__)  # its symbol lookup reaches the BLAS it links
+    for name in ("scipy_openblas{}64_", "openblas{}64_", "openblas{}"):
+        get = getattr(lib, name.format("_get_num_threads"), None)
+        put = getattr(lib, name.format("_set_num_threads"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _DropoutView:
+    """Chunk [s0, s0 + n)'s view of a B-sample step's dropout generator. Every
+    activation has the batch axis first, so a draw of the chunk's shape
+    (n, ...) gives exactly its rows of the batch-wide draw: PCG64 makes one
+    step per double, and the view advances it past the samples before the
+    chunk and, after drawing, past the samples after it. It draws from its
+    own copy of the generator, so every chunk starts where the step does."""
+
+    def __init__(self, rng: np.random.Generator, s0: int, batch: int):
+        self._rng, self._s0, self._batch = copy.deepcopy(rng), s0, batch
+
+    def random(self, shape) -> np.ndarray:
+        per_sample = math.prod(shape[1:])
+        bits = self._rng.bit_generator
+        bits.advance(self._s0 * per_sample)
+        out = self._rng.random(shape)
+        bits.advance((self._batch - self._s0 - shape[0]) * per_sample)
+        return out
+
+
+class _Swap:
+    """How one process runs a step: ``mine`` are the chunks it runs. With two
+    chunks, ``grads`` has a row per chunk for its flattened parameter
+    gradient, and ``sum_grads`` sets each parameter's gradient to its view of
+    row 0 + row 1."""
+
+    def __init__(self, params: Sequence[Parameter], mine: tuple, grads: Optional[np.ndarray]):
+        self.mine, self.grads = mine, grads
+        if grads is not None:
+            self._total = np.empty(grads.shape[1], grads.dtype)
+            ends = np.cumsum([p.size for p in params])
+            self._views = [self._total[e - p.size:e].reshape(p.shape) for p, e in zip(params, ends)]
+
+    def sum_grads(self, params: Sequence[Parameter]) -> None:
+        np.add(self.grads[0], self.grads[1], out=self._total)
+        for p, view in zip(params, self._views):
+            p.grad = view
+
+
+class _InProcess(_Swap):
+    """Runs every chunk of a step in this process; nothing to swap."""
+
+    def swap_sums(self, sums: dict) -> list:
+        return [sums[k] for k in self.mine]
+
+    def swap_grads(self) -> None:
+        pass
+
+
+class _PipeSwap(_Swap):
+    """One side of a two-process step, running one chunk. Loss sums go over
+    the pipe; gradients go into this side's row of ``grads``, in memory both
+    processes share, and a token over the pipe says the row is written. A
+    side only writes its row after the next step's sums arrive, which the
+    other side sends only once it has read both rows, so no row is
+    overwritten while it is read."""
+
+    def __init__(self, params: Sequence[Parameter], conn, mine: int, grads: np.ndarray):
+        super().__init__(params, (mine,), grads)
+        self.conn = conn
+
+    def _swap(self, obj):
+        """Send ``obj`` and return what the other side sent. If that side has
+        ended, the pipe still holds what it sent last (a worker's error) or
+        ends: recv() raises EOFError, or ConnectionResetError where the
+        ended side left unread data in its end of the socket pair."""
+        with contextlib.suppress(BrokenPipeError):
+            self.conn.send(obj)
+        msg = self.conn.recv()
+        if isinstance(msg, BaseException):  # the worker failed; see _worker_main
+            raise msg
+        return msg
+
+    def swap_sums(self, sums: dict) -> list:
+        other = self._swap(sums[self.mine[0]])
+        return [sums[0], other] if self.mine == (0,) else [other, sums[1]]
+
+    def swap_grads(self) -> None:
+        self._swap(None)
+
+
+def _step(model: TFCNsModel, params: Sequence[Parameter], x: np.ndarray, y: np.ndarray,
+          rng: np.random.Generator, plan: list, swap: _Swap) -> tuple:
+    """Forward, loss and backward of one step for the chunks ``swap.mine``;
+    leaves the step's gradient on the parameters and returns the (total,
+    dice, cross-entropy) loss tensors of the first chunk it ran."""
+    taped = {}
+    for k in swap.mine:
+        s0, s1 = plan[k]
+        tape = ad.Tape()
+        with tape:
+            for p in params:
+                p.grad = None  # else last step's gradients stay alive through this forward's peak memory
+                tape.watch(p)
+            logits = model.forward(x[s0:s1], rng=_DropoutView(rng, s0, len(x)))
+            taped[k] = tape, loss_sums(logits, y[s0:s1], model.cfg.num_classes)
+    sums = swap.swap_sums({k: own.detached() for k, (_, own) in taped.items()})
+    parts = None
+    for k, (tape, own) in taped.items():
+        with tape:
+            chunk_parts = loss_from_sums([own if i == k else s for i, s in enumerate(sums)])
+        ad.backward(chunk_parts[0])
+        if parts is None:
+            parts = chunk_parts
+        if swap.grads is not None:
+            np.concatenate([p.grad.reshape(-1) for p in params], out=swap.grads[k])
+    if swap.grads is not None:
+        swap.swap_grads()
+        swap.sum_grads(params)
+    return parts
+
+
+def _worker_main(conn, caller_end, model: TFCNsModel, dataset, cfg: TrainConfig,
+                 state: "OptimizerState", total: int, plan: list, grads: np.ndarray) -> None:
+    """Chunk 1 of every step of a run, on this process's replica. Writes
+    nothing to stdout; returns when the run ends or the caller is gone (end
+    of file on the pipe), and sends the caller any error it raises."""
+    caller_end.close()  # so that the pipe ends when the caller does
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    params = model.parameters()
+    swap = _PipeSwap(params, conn, 1, grads)
+    try:
+        for it in range(total):
+            x, y, rng = _prepare_batch(dataset, cfg, it, model.dtype)
+            _step(model, params, x, y, rng, plan, swap)
+            sgd_step(params, state, cfg)
+    except (EOFError, ConnectionResetError):
+        return  # the caller is gone
+    except NonFiniteValue as exc:
+        failure = exc
+    except Exception:
+        failure = WorkerFailed("training worker failed:\n" + traceback.format_exc())
+    else:
+        return
+    with contextlib.suppress(OSError):
+        conn.send(failure)
+
+
+@contextlib.contextmanager
+def _step_runner(model: TFCNsModel, params: Sequence[Parameter], dataset, cfg: TrainConfig,
+                 state: "OptimizerState", total: int, plan: list):
+    """The swap the caller's steps use: with two chunks, two usable CPUs and
+    ``fork``, a worker process forked now for the whole run; otherwise this
+    process alone. On leaving, no worker is left running."""
+    shape = (len(plan), sum(p.size for p in params))
+    forked = len(plan) > 1 and total > 0 and _usable_cpus() >= 2
+    if forked:
+        # imported only to fork: it adds about 6 ms to a process's start, and
+        # with it loaded, one-chunk training steps measured about 5 % slower
+        import multiprocessing
+        forked = "fork" in multiprocessing.get_all_start_methods()
+    if not forked:
+        grads = np.empty(shape, model.dtype) if len(plan) > 1 else None
+        yield _InProcess(params, tuple(range(len(plan))), grads)
+        return
+    ctx = multiprocessing.get_context("fork")
+    shared = mmap.mmap(-1, math.prod(shape) * model.dtype.itemsize)
+    grads = np.frombuffer(shared, model.dtype).reshape(shape)
+    # the two processes take the CPUs that BLAS threads would: two BLAS
+    # threads in each process made a small step three times slower
+    blas = _openblas_threads()
+    blas_threads = blas[0]() if blas else None
+    if blas:
+        blas[1](1)  # before the fork, so that the worker inherits it
+    conn, worker_end = ctx.Pipe()
+    worker = ctx.Process(target=_worker_main, daemon=True, name="tfcns-train-worker",
+                         args=(worker_end, conn, model, dataset, cfg, state, total, plan, grads))
+    worker.start()
+    worker_end.close()
+    finished = False
+    try:
+        yield _PipeSwap(params, conn, 0, grads)
+        finished = True
+    except (EOFError, ConnectionResetError) as exc:
+        worker.join(1.0)
+        raise WorkerFailed(f"training worker exited unexpectedly (exit code {worker.exitcode})") from exc
+    finally:
+        conn.close()
+        if finished:
+            worker.join(10.0)
+        if worker.is_alive():
+            worker.kill()
+        worker.join()
+        if blas:
+            blas[1](blas_threads)
+
+
 def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConfig,
           out_dir=None,
           callbacks: Optional[Sequence[Callable[[IterRecord], None]]] = None) -> TrainLog:
@@ -213,17 +455,19 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
     ``eval_every`` iterations; returns the per-iteration log. With an
     output directory, writes the line-delimited training log and checkpoints
     at the end and at the best eval dice; an output directory whose
-    training.log is not empty is refused."""
+    training.log is not empty is refused. Callbacks, evaluation, the log and
+    checkpoints run in this process only; a callback must not change the
+    model, since a worker holds a replica of it."""
     if not dataset:
         raise ConfigInvalid("training dataset is empty")
     shapes = {pair.image.shape for pair in dataset}
     if len(shapes) > 1:  # a batch stacks its images
         raise ShapeMismatch(f"training images differ in shape: {sorted(shapes)}")
-    num_classes = model.cfg.num_classes
     params = model.parameters()  # the registry is fixed for the whole run
     state = OptimizerState.for_model(model)
     log = TrainLog()
     total = total_iterations(cfg, len(dataset))
+    plan = _chunk_plan(cfg.batch_size)
     log_opener = contextlib.nullcontext()  # enters as None: no log file
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -231,7 +475,8 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
         out_dir.mkdir(parents=True, exist_ok=True)
         log_opener = open(out_dir / "training.log", "a", encoding="utf-8")
 
-    with log_opener as log_file:
+    runner = _step_runner(model, params, dataset, cfg, state, total, plan)
+    with log_opener as log_file, runner as swap:
         def emit(line: str):
             if log_file is not None:
                 log_file.write(line + "\n")
@@ -240,13 +485,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
         for it in range(total):
             x, y, model_rng = _prepare_batch(dataset, cfg, it, model.dtype)
             try:
-                with ad.Tape() as tape:
-                    for p in params:
-                        p.grad = None  # else last step's gradients stay alive through this forward's peak memory
-                        tape.watch(p)
-                    logits = model.forward(x, rng=model_rng)
-                    loss, d_part, c_part = combined_loss_parts(logits, y, num_classes)
-                    ad.backward(loss)
+                loss, d_part, c_part = _step(model, params, x, y, model_rng, plan, swap)
             except NonFiniteValue as exc:
                 raise NonFiniteLoss(
                     f"non-finite loss at iteration {it}; last good checkpoint: "

@@ -1,4 +1,7 @@
-"""Shared test fixtures: tiny model configs and small synthetic datasets."""
+"""Shared test fixtures: tiny model configs and small synthetic datasets,
+and a check that no test leaves a child process running."""
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -41,3 +44,14 @@ def small_dataset():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a live child process (a training worker)."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert not left, f"the test left child processes running: {left}"

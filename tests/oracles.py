@@ -165,3 +165,29 @@ def dense_block_direct(inputs, weights, biases, dropout_p: float = 0.0, rng=None
             y = np.where(rng.random(y.shape) >= dropout_p, y / (1.0 - dropout_p), 0.0)
         feats = np.concatenate([feats, y], axis=1)
     return feats
+
+
+def whole_batch_step(model, x: np.ndarray, y: np.ndarray, rng):
+    """One training step as it ran before steps were split into chunks: one
+    taped forward over the whole batch with the batch-wide dropout draws,
+    soft Dice and cross-entropy as whole-batch means, one backward. Returns
+    the loss and {parameter name: gradient}."""
+    import tfcns.autodiff as ad
+
+    with ad.Tape() as tape:
+        for p in model.parameters():
+            tape.watch(p)
+        logits = model.forward(x, rng=rng)
+        k = logits.shape[1]
+        g = (y[:, None] == np.arange(k)[:, None, None]).astype(logits.dtype)
+        probs = ad.softmax(logits, axis=1)
+        inter = ad.reduce_sum(ad.mul(probs, g), axis=(0, 2, 3))
+        psum = ad.reduce_sum(probs, axis=(0, 2, 3))
+        dice = ad.div(ad.add(ad.mul(inter, 2.0), 1e-5),
+                      ad.add(ad.add(psum, g.sum(axis=(0, 2, 3))), 1e-5))
+        d = ad.add(ad.mul(ad.reduce_mean(dice), -1.0), 1.0)
+        picked = ad.reduce_sum(ad.mul(ad.log_softmax(logits, axis=1), g), axis=1)
+        c = ad.mul(ad.reduce_mean(picked), -1.0)
+        loss = ad.add(ad.mul(d, 0.5), ad.mul(c, 0.5))
+        ad.backward(loss)
+    return float(loss.data), {name: p.grad.copy() for name, p in model.named_parameters()}

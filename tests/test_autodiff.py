@@ -249,6 +249,23 @@ class TestConvTranspose2d:
         with pytest.raises(ShapeMismatch):
             ad.conv_transpose2d(t64(np.zeros((1, 2, 3, 3))), t64(np.zeros((2, 1, 2, 3))))
 
+    def test_last_224_transition_up_keeps_one_band_beside_its_output(self, rng):
+        """The paper model's last transition-up (288 -> 72 channels, 112^2 ->
+        224^2, float32) writes each tap's GEMM straight into its output: the
+        output (14.45 MB) plus one band's product (at most 1 MB), not a
+        second copy of the output."""
+        x = Tensor(rng.standard_normal((1, 288, 112, 112), dtype=np.float32))
+        w = Tensor(rng.standard_normal((288, 72, 2, 2), dtype=np.float32))
+        b = Tensor(np.zeros(72, np.float32))
+        tracemalloc.start()
+        try:
+            out = ad.conv_transpose2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 72, 224, 224)
+        assert peak < 20 * 2**20
+
 
 def per_layer_chain(inputs, weights, biases, p, rng):
     """A dense block as separate tape ops: each layer is conv2d -> gelu ->
@@ -889,6 +906,21 @@ class TestBackward:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_a_leaf_watched_by_two_live_tapes_gets_each_tapes_gradient(self, rng):
+        w = t64(rng.standard_normal(3))
+        first, second = Tape(), Tape()
+        with first:
+            first.watch(w)
+            loss_a = ad.reduce_sum(ad.mul(w, 2.0))
+        with second:
+            second.watch(t64(np.zeros(1)))  # so that w's id differs between the tapes
+            second.watch(w)
+            loss_b = ad.reduce_sum(ad.mul(w, w))
+        backward(loss_a)
+        assert np.array_equal(w.grad, np.full(3, 2.0))
+        backward(loss_b)
+        assert np.array_equal(w.grad, 2.0 * w.data)
 
     def test_second_backward_on_a_tape_raises(self, rng):
         x = t64(rng.standard_normal(3))

@@ -155,7 +155,7 @@ class TestDeclaredOnce:
     # the exit code of every error class, as the command line has always mapped them
     EXIT_CODES = {
         "TfcnsError": 1, "NonFiniteValue": 1, "NotScalar": 1, "DetachedTensor": 1, "EmptyMask": 1,
-        "NonFiniteLoss": 1, "ShapeMismatch": 2, "ConfigInvalid": 2, "ClassOutOfRange": 2,
+        "NonFiniteLoss": 1, "WorkerFailed": 1, "ShapeMismatch": 2, "ConfigInvalid": 2, "ClassOutOfRange": 2,
         "FormatError": 2, "VersionError": 2, "DatasetError": 2,
     }
 
@@ -217,6 +217,13 @@ class TestTrainCommand:
         assert "lr = 0.005" in echoed
         assert "seed = 3" in echoed
         assert (out / "last.ckpt").is_file()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverging_run_is_exit_1(self, dataset_dir, tmp_path, capsys):
+        rc = main(["train", *model_flags(dataset_dir, tmp_path / "run"), "--set", "max_iterations=5",
+                   "--set", "eval_every=0", "--set", "lr=1e30"])
+        assert rc == 1
+        assert "non-finite loss at iteration" in capsys.readouterr().err
 
     def test_rerun_into_a_used_output_dir_is_exit_2_naming_the_log(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"

@@ -2,16 +2,25 @@
 determinism and log format, and the ablation runner."""
 
 import inspect
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tfcns.autodiff as ad
 from conftest import small_model_config, tiny_model_config
+from oracles import whole_batch_step
+from tfcns import training
 from tfcns.autodiff import Parameter
 from tfcns.data import SegmentationPair, SyntheticSpec, generate_synthetic
-from tfcns.errors import ConfigInvalid, NonFiniteLoss
+from tfcns.errors import ConfigInvalid, NonFiniteLoss, WorkerFailed
 from tfcns.metrics import MetricReport
 from tfcns.model import MLP_VARIANT_CHOICES, SKIP_ATTENTION_CHOICES, build
 from tfcns.training import (
@@ -28,6 +37,8 @@ from tfcns.training import (
 )
 
 F64 = np.float64
+ROOT = Path(__file__).resolve().parents[1]
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def scalar_param(value: float, name: str = "w") -> Parameter:
@@ -280,6 +291,172 @@ class TestTrainLoop:
         assert isinstance(report, MetricReport)
         assert set(report.per_class) == {0, 1, 2}
         assert report.n_cases == 4
+
+
+def use_worker(monkeypatch, on: bool) -> None:
+    """Make train() fork its worker (as on two usable CPUs) or not (one)."""
+    if on and not HAS_FORK:
+        pytest.skip("no fork start method here")
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2 if on else 1)
+
+
+class TestChunkedStep:
+    def test_chunk_plan(self):
+        assert training._chunk_plan(1) == [(0, 1)]
+        assert training._chunk_plan(3) == [(0, 2), (2, 3)]
+        assert training._chunk_plan(8) == [(0, 4), (4, 8)]
+
+    @pytest.mark.parametrize("batch", [3, 12])
+    def test_a_chunks_dropout_masks_are_its_rows_of_the_batch_wide_masks(self, batch):
+        # successive draws of dense-layer, attention and MLP shapes, then a dense layer again
+        shapes = [(batch, 8, 6, 6), (batch, 2, 5, 5), (batch, 5, 24), (batch, 5, 6), (batch, 8, 3, 3)]
+        step_rng = np.random.default_rng(7)
+        full = [ad._dropout_keep(np.empty(shape), 0.3, step_rng) for shape in shapes]
+        for s0, s1 in training._chunk_plan(batch):
+            view = training._DropoutView(np.random.default_rng(7), s0, batch)
+            for shape, mask in zip(shapes, full):
+                assert np.array_equal(ad._dropout_keep(np.empty((s1 - s0, *shape[1:])), 0.3, view),
+                                      mask[s0:s1])
+
+    @pytest.mark.parametrize("dtype, batch, tol", [(np.float32, 3, 1e-5), (np.float32, 8, 1e-5),
+                                                   (np.float64, 3, 1e-12), (np.float64, 8, 1e-12)])
+    def test_gradients_agree_with_the_whole_batch_step(self, quick_dataset, dtype, batch, tol):
+        model_cfg = small_model_config(dropout_p=0.1)
+        cfg = quick_train_cfg(batch_size=batch, max_iterations=1)
+        x, y, rng = training._prepare_batch(quick_dataset, cfg, 0, np.dtype(dtype))
+        ref_loss, ref = whole_batch_step(build(model_cfg, dtype=dtype), x, y, rng)
+        model = build(model_cfg, dtype=dtype)
+        log = train(model, quick_dataset, cfg)  # leaves step 0's gradient on the parameters
+        assert abs(log.records[0].loss - ref_loss) <= tol * ref_loss
+        for name, p in model.named_parameters():
+            assert np.max(np.abs(p.grad - ref[name])) <= tol * np.max(np.abs(ref[name])), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_one_sample_step_is_the_whole_batch_step_bit_for_bit(self, quick_dataset, dtype):
+        model_cfg = small_model_config(dropout_p=0.1)
+        cfg = quick_train_cfg(batch_size=1, max_iterations=1)
+        x, y, rng = training._prepare_batch(quick_dataset, cfg, 0, np.dtype(dtype))
+        ref_loss, ref = whole_batch_step(build(model_cfg, dtype=dtype), x, y, rng)
+        model = build(model_cfg, dtype=dtype)
+        assert train(model, quick_dataset, cfg).records[0].loss == ref_loss
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.grad, ref[name]), name
+
+    @pytest.mark.parametrize("batch", [3, 8])
+    def test_forked_and_in_process_runs_are_byte_identical(self, quick_dataset, tmp_path, monkeypatch, batch):
+        runs = []
+        for worker in (True, False):
+            use_worker(monkeypatch, worker)
+            model = build(small_model_config(dropout_p=0.1))
+            children = []
+            out = tmp_path / f"worker{worker}"
+            train(model, quick_dataset, quick_train_cfg(batch_size=batch, max_iterations=5), out_dir=out,
+                  callbacks=[lambda record: children.append(len(multiprocessing.active_children()))])
+            assert children == [int(worker)] * 5
+            runs.append(((out / "training.log").read_bytes(), [p.data.tobytes() for p in model.parameters()]))
+        assert runs[0] == runs[1]
+
+
+class TestWorkerFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("worker", [True, False])
+    @pytest.mark.parametrize("bad_sample", [0, -1], ids=["chunk0", "chunk1"])
+    def test_a_non_finite_chunk_is_a_non_finite_loss(self, quick_dataset, monkeypatch, worker, bad_sample):
+        use_worker(monkeypatch, worker)
+        prepare = training._prepare_batch
+
+        def poisoned(*args):
+            x, y, rng = prepare(*args)
+            x[bad_sample] = np.inf
+            return x, y, rng
+
+        monkeypatch.setattr(training, "_prepare_batch", poisoned)
+        with pytest.raises(NonFiniteLoss, match="iteration 0"):
+            train(build(small_model_config()), quick_dataset, quick_train_cfg(max_iterations=3))
+
+    def test_a_worker_that_dies_is_a_clean_error(self, quick_dataset, monkeypatch):
+        use_worker(monkeypatch, True)
+
+        def kill_worker(record):
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+
+        with pytest.raises(WorkerFailed, match="exited"):
+            train(build(small_model_config()), quick_dataset, quick_train_cfg(max_iterations=4),
+                  callbacks=[kill_worker])
+
+    @pytest.mark.parametrize("delay", [0.0, 0.5], ids=["before_the_caller_sends", "with_the_callers_data_unread"])
+    def test_a_worker_that_exits_is_a_clean_error(self, quick_dataset, monkeypatch, delay):
+        """A worker that ends with the caller's data unread resets the
+        socket pair, so the caller's recv() raises ConnectionResetError
+        instead of EOFError; both are a WorkerFailed."""
+        use_worker(monkeypatch, True)
+
+        def exiting_worker(*args):
+            time.sleep(delay)
+            os._exit(3)
+
+        monkeypatch.setattr(training, "_worker_main", exiting_worker)
+        with pytest.raises(WorkerFailed, match="exit code 3"):
+            train(build(small_model_config()), quick_dataset, quick_train_cfg(max_iterations=2))
+
+    def test_no_worker_outlives_a_callback_that_raises(self, quick_dataset, monkeypatch):
+        use_worker(monkeypatch, True)
+
+        def stop(record):
+            raise KeyError("stop")
+
+        with pytest.raises(KeyError):
+            train(build(small_model_config()), quick_dataset, quick_train_cfg(), callbacks=[stop])
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_normal_run(self, quick_dataset, monkeypatch):
+        use_worker(monkeypatch, True)
+        train(build(small_model_config()), quick_dataset, quick_train_cfg(max_iterations=2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="reads a process's files from /proc")
+    def test_the_worker_exits_when_its_caller_is_killed(self):
+        """The caller prints its worker's pid and whether the worker's stdout is
+        the null device, then kills itself; the worker must end on its own."""
+        script = (
+            "import multiprocessing, os, signal\n"
+            "from tfcns import training\n"
+            "from tfcns.data import SyntheticSpec, generate_synthetic\n"
+            "from tfcns.model import ModelConfig, build\n"
+            "training._usable_cpus = lambda: 2\n"
+            "def on_step(record):\n"
+            "    (worker,) = multiprocessing.active_children()\n"
+            "    null = os.path.samestat(os.stat(f'/proc/{worker.pid}/fd/1'), os.stat(os.devnull))\n"
+            "    print(worker.pid, null, flush=True)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "data = generate_synthetic(SyntheticSpec(n_cases=4, height=16, width=16, num_classes=3,\n"
+            "                                        seed=2, radius_min=2, radius_max=3))\n"
+            "model = build(ModelConfig(num_classes=3, input_size=16, first_conv_channels=3, growth_rate=2,\n"
+            "                          layers_per_block=(1, 1, 1), patch_size=8, embed_dim=6, n_heads=2,\n"
+            "                          transformer_layers=1, resmlp_hidden=6))\n"
+            "training.train(model, data, training.TrainConfig(batch_size=4, max_iterations=50, eval_every=0),\n"
+            "               callbacks=[on_step])\n"
+        )
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT,
+                             env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
+        assert run.returncode == -signal.SIGKILL, run.stderr
+        pid, stdout_is_null = run.stdout.split()
+        assert stdout_is_null == "True"
+        deadline = time.monotonic() + 10.0
+        while process_alive(int(pid)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not process_alive(int(pid))
+
+
+def process_alive(pid: int) -> bool:
+    """Whether ``pid`` runs (an exited, unreaped process counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestAblation:
