@@ -27,8 +27,8 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Elements of one band's largest working array (1 MB in float32): a conv's
-# per-tap GEMM output, per-tap gradient or input gradient, a transposed
-# conv's per-tap product, or one of erf's temporaries.
+# per-tap GEMM output, per-tap gradient or input gradient, or one of erf's
+# temporaries.
 _BAND_ELEMS = 1 << 18
 
 
@@ -634,10 +634,8 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Transposed convolution (adjoint of a strided conv) with square C x O x k x k
-    kernels and stride k, so windows never overlap: tap (i, j) fills output
-    pixels (i::k, j::k) of the (H*k) x (W*k) map, one GEMM per band of input
-    rows, run into one buffer of at most _BAND_ELEMS elements that every tap
-    and band reuses, so besides the output only one band's product exists."""
+    kernels and stride k, so windows never overlap: one GEMM gives every output
+    pixel, and a pixel shuffle lays the k*k taps out as an (H*k) x (W*k) map."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeMismatch(f"conv_transpose2d expects 4-d operands, got {xd.shape}, {wd.shape}")
@@ -651,16 +649,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor
         raise ShapeMismatch(f"conv_transpose2d bias shape {b.data.shape}, expected ({o},)")
     x2 = xd.reshape(bsz, c, h * width)
     wm = wd.reshape(c, o * kh * kw)
-    data = np.empty((bsz, o, h * kh, width * kw), np.result_type(xd, wd))
-    rows = max(1, min(h, _BAND_ELEMS // (bsz * o * width)))
-    tap = np.empty((bsz, o, rows * width), data.dtype)
-    for r0 in range(0, h, rows):
-        n = min(rows, h - r0)
-        xb, tb = x2[:, :, r0 * width:(r0 + n) * width], tap[:, :, :n * width]
-        for i in range(kh):
-            for j in range(kw):
-                np.matmul(wd[:, :, i, j].T, xb, out=tb)
-                data[:, :, r0 * kh + i:(r0 + n) * kh:kh, j::kw] = tb.reshape(bsz, o, n, width)
+    z = (wm.T @ x2).reshape(bsz, o, kh, kw, h, width)
+    data = z.transpose(0, 1, 4, 2, 5, 3).reshape(bsz, o, h * kh, width * kw)
     if b is not None:
         data += b.data[:, None, None]
 

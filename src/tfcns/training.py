@@ -6,10 +6,11 @@ Determinism contract: every stochastic choice of iteration ``i`` (batch
 sampling, augmentation draws, dropout masks) derives from
 ``SeedSequence(seed, spawn_key=(i,))``, so a fixed seed reproduces the loss
 trajectory bit-for-bit and checkpoints only need the iteration counter to
-describe the generator state. The bits depend on the seed, the iteration
-and the batch size, not on how many CPUs the machine has.
+describe the generator state. The bits depend on the seed, the iteration,
+the batch size and the image size, not on how many CPUs the machine has.
 
-A step with B >= 2 runs as two chunks, the first ceil(B/2) samples and the
+A step with B >= 2 whose first ceil(B/2) samples hold at least
+``_MIN_CHUNK_PIXELS`` pixels runs as two chunks, those samples and the
 rest. Each chunk runs a taped forward with the rows of the batch-wide dropout
 masks that are its own, and turns its logits into loss sums. The sums are
 added in chunk order, so both chunks see the same loss; each chunk's backward
@@ -19,7 +20,9 @@ and ``fork`` exists, one worker process forked for the run takes chunk 1
 of every step on its own replica of the model and the optimizer state: the
 two processes swap loss sums over a pipe and gradients through shared
 memory, and both apply the same update. Otherwise this process runs both
-chunks, with the same bits. A step with B = 1 is one chunk in this process.
+chunks, with the same bits. Any other step (B = 1, or smaller chunks, where
+the per-op cost of a second chunk outweighs the gain) is one chunk in this
+process, as a whole batch.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import ctypes
+import functools
 import math
 import mmap
 import os
@@ -41,8 +45,11 @@ from . import autodiff as ad
 from .autodiff import Parameter
 from .data import SEED_HELP, SegmentationPair, config_field
 from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue, ShapeMismatch, WorkerFailed
-from .metrics import (  # noqa: F401  (combined_loss_parts: perfbench's tracer wraps this name)
-    MetricReport, aggregate, combined_loss_parts, evaluate_case, loss_from_sums, loss_sums,
+# combined_loss_parts is not called here: it is imported only so that
+# perfbench's tracer, which wraps training.combined_loss_parts, still finds
+# it. A stopgap until the tracer stops patching module names (ROADMAP item 13).
+from .metrics import (  # noqa: F401
+    LossSums, MetricReport, aggregate, combined_loss_parts, evaluate_case, loss_from_sums, loss_sums,
 )
 from .model import ModelConfig, TFCNsModel, build, predict, save_checkpoint
 
@@ -227,12 +234,24 @@ def refuse_existing_log(out_dir) -> None:
         raise ConfigInvalid(f"{log_path} already holds a training log; choose a new output directory")
 
 
-def _chunk_plan(batch_size: int) -> list:
-    """Sample ranges [(s0, s1)] of a step's chunks: the first ceil(B/2)
-    samples and the rest, or one chunk when B = 1."""
-    if batch_size == 1:
-        return [(0, 1)]
+# Fewest pixels (samples x H x W) a chunk must hold for a step to be split.
+# Each chunk runs every op of the model, so a split step pays the per-op cost
+# twice. With a forked worker on two CPUs (median step, whole vs split), a
+# 32^2 model of the criterion-8 shape went from 51 to 31-42 ms at B=8 (4096
+# pixels a chunk), was even at B=4 (2048: 28-30 against 27-37 ms), and lost
+# at B=2 (18 against 25 ms); the narrower criterion-9 model lost at 16^2, B=4
+# (512 pixels: 6 against 11-12 ms) and at 32^2, B=4 (10 against 16 ms). The
+# rule reads only the batch, so the bits do not depend on the machine.
+_MIN_CHUNK_PIXELS = 4096
+
+
+def _chunk_plan(batch_size: int, pixels: int) -> list:
+    """Sample ranges [(s0, s1)] of a step's chunks for samples of ``pixels``
+    pixels each: the first ceil(B/2) samples and the rest, or one chunk
+    where that would hold fewer than _MIN_CHUNK_PIXELS pixels (and at B = 1)."""
     half = (batch_size + 1) // 2
+    if batch_size == 1 or half * pixels < _MIN_CHUNK_PIXELS:
+        return [(0, batch_size)]
     return [(0, half), (half, batch_size)]
 
 
@@ -241,6 +260,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _openblas_threads() -> Optional[tuple]:
     """(get, set) of the thread count of the OpenBLAS that numpy calls, or
     None where numpy uses another BLAS."""
@@ -257,6 +277,23 @@ def _openblas_threads() -> Optional[tuple]:
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return None
+
+
+@contextlib.contextmanager
+def _blas_threads(count: Optional[int]):
+    """Run the block with OpenBLAS at ``count`` threads, then restore the
+    count it had; no change where ``count`` is None or numpy uses another
+    BLAS."""
+    blas = None if count is None else _openblas_threads()
+    if blas is None:
+        yield
+        return
+    before = blas[0]()
+    blas[1](count)
+    try:
+        yield
+    finally:
+        blas[1](before)
 
 
 class _DropoutView:
@@ -279,46 +316,23 @@ class _DropoutView:
         return out
 
 
-class _Swap:
-    """How one process runs a step: ``mine`` are the chunks it runs. With two
-    chunks, ``grads`` has a row per chunk for its flattened parameter
-    gradient, and ``sum_grads`` sets each parameter's gradient to its view of
-    row 0 + row 1."""
+class _Peer:
+    """This process's side of a two-process step: it runs chunk ``mine`` and
+    the other process the other chunk. Loss sums go over the pipe ``conn``.
+    Each side writes its flattened parameter gradient into its own row of
+    ``grads``, in memory both processes share, and a token over the pipe says
+    the row is written; then each side sums the two rows. A side only writes
+    its row after the next step's sums arrive, which the other side sends only
+    once it has read both rows, so no row is overwritten while it is read.
+    ``blas_threads`` is this process's OpenBLAS thread count before the fork
+    (None where numpy uses another BLAS)."""
 
-    def __init__(self, params: Sequence[Parameter], mine: tuple, grads: Optional[np.ndarray]):
-        self.mine, self.grads = mine, grads
-        if grads is not None:
-            self._total = np.empty(grads.shape[1], grads.dtype)
-            ends = np.cumsum([p.size for p in params])
-            self._views = [self._total[e - p.size:e].reshape(p.shape) for p, e in zip(params, ends)]
-
-    def sum_grads(self, params: Sequence[Parameter]) -> None:
-        np.add(self.grads[0], self.grads[1], out=self._total)
-        for p, view in zip(params, self._views):
-            p.grad = view
-
-
-class _InProcess(_Swap):
-    """Runs every chunk of a step in this process; nothing to swap."""
-
-    def swap_sums(self, sums: dict) -> list:
-        return [sums[k] for k in self.mine]
-
-    def swap_grads(self) -> None:
-        pass
-
-
-class _PipeSwap(_Swap):
-    """One side of a two-process step, running one chunk. Loss sums go over
-    the pipe; gradients go into this side's row of ``grads``, in memory both
-    processes share, and a token over the pipe says the row is written. A
-    side only writes its row after the next step's sums arrive, which the
-    other side sends only once it has read both rows, so no row is
-    overwritten while it is read."""
-
-    def __init__(self, params: Sequence[Parameter], conn, mine: int, grads: np.ndarray):
-        super().__init__(params, (mine,), grads)
-        self.conn = conn
+    def __init__(self, params: Sequence[Parameter], conn, mine: int, grads: np.ndarray,
+                 blas_threads: Optional[int] = None):
+        self.conn, self.mine, self.grads, self.blas_threads = conn, mine, grads, blas_threads
+        self._total = np.empty(grads.shape[1], grads.dtype)
+        ends = np.cumsum([p.size for p in params])
+        self._views = [self._total[e - p.size:e].reshape(p.shape) for p, e in zip(params, ends)]
 
     def _swap(self, obj):
         """Send ``obj`` and return what the other side sent. If that side has
@@ -332,21 +346,28 @@ class _PipeSwap(_Swap):
             raise msg
         return msg
 
-    def swap_sums(self, sums: dict) -> list:
-        other = self._swap(sums[self.mine[0]])
-        return [sums[0], other] if self.mine == (0,) else [other, sums[1]]
+    def swap_sums(self, own: LossSums) -> list:
+        """Both chunks' sums, in chunk order."""
+        other = self._swap(own)
+        return [own, other] if self.mine == 0 else [other, own]
 
-    def swap_grads(self) -> None:
+    def sum_grads(self, params: Sequence[Parameter]) -> None:
+        """Set each parameter's gradient to the sum of both chunks' shares."""
+        np.concatenate([p.grad.reshape(-1) for p in params], out=self.grads[self.mine])
         self._swap(None)
+        np.add(self.grads[0], self.grads[1], out=self._total)
+        for p, view in zip(params, self._views):
+            p.grad = view
 
 
 def _step(model: TFCNsModel, params: Sequence[Parameter], x: np.ndarray, y: np.ndarray,
-          rng: np.random.Generator, plan: list, swap: _Swap) -> tuple:
-    """Forward, loss and backward of one step for the chunks ``swap.mine``;
-    leaves the step's gradient on the parameters and returns the (total,
-    dice, cross-entropy) loss tensors of the first chunk it ran."""
+          rng: np.random.Generator, plan: list, peer: Optional[_Peer] = None) -> tuple:
+    """Forward, loss and backward of one step: of every chunk of ``plan``, or
+    with a peer, of chunk ``peer.mine`` only. Leaves the step's gradient on
+    the parameters and returns the (total, dice, cross-entropy) loss tensors
+    of the first chunk it ran."""
     taped = {}
-    for k in swap.mine:
+    for k in (range(len(plan)) if peer is None else (peer.mine,)):
         s0, s1 = plan[k]
         tape = ad.Tape()
         with tape:
@@ -355,19 +376,22 @@ def _step(model: TFCNsModel, params: Sequence[Parameter], x: np.ndarray, y: np.n
                 tape.watch(p)
             logits = model.forward(x[s0:s1], rng=_DropoutView(rng, s0, len(x)))
             taped[k] = tape, loss_sums(logits, y[s0:s1], model.cfg.num_classes)
-    sums = swap.swap_sums({k: own.detached() for k, (_, own) in taped.items()})
+    if peer is None:
+        sums = [own.detached() for _, own in taped.values()]
+    else:
+        sums = peer.swap_sums(taped[peer.mine][1].detached())
     parts = None
     for k, (tape, own) in taped.items():
         with tape:
             chunk_parts = loss_from_sums([own if i == k else s for i, s in enumerate(sums)])
         ad.backward(chunk_parts[0])
         if parts is None:
-            parts = chunk_parts
-        if swap.grads is not None:
-            np.concatenate([p.grad.reshape(-1) for p in params], out=swap.grads[k])
-    if swap.grads is not None:
-        swap.swap_grads()
-        swap.sum_grads(params)
+            parts, first = chunk_parts, [p.grad for p in params]
+        else:  # this process ran chunk 0 too: add its share
+            for p, g in zip(params, first):
+                p.grad = g + p.grad
+    if peer is not None:
+        peer.sum_grads(params)
     return parts
 
 
@@ -381,11 +405,11 @@ def _worker_main(conn, caller_end, model: TFCNsModel, dataset, cfg: TrainConfig,
     os.dup2(devnull, 1)
     os.close(devnull)
     params = model.parameters()
-    swap = _PipeSwap(params, conn, 1, grads)
+    peer = _Peer(params, conn, 1, grads)
     try:
         for it in range(total):
             x, y, rng = _prepare_batch(dataset, cfg, it, model.dtype)
-            _step(model, params, x, y, rng, plan, swap)
+            _step(model, params, x, y, rng, plan, peer)
             sgd_step(params, state, cfg)
     except (EOFError, ConnectionResetError):
         return  # the caller is gone
@@ -402,50 +426,50 @@ def _worker_main(conn, caller_end, model: TFCNsModel, dataset, cfg: TrainConfig,
 @contextlib.contextmanager
 def _step_runner(model: TFCNsModel, params: Sequence[Parameter], dataset, cfg: TrainConfig,
                  state: "OptimizerState", total: int, plan: list):
-    """The swap the caller's steps use: with two chunks, two usable CPUs and
-    ``fork``, a worker process forked now for the whole run; otherwise this
-    process alone. On leaving, no worker is left running."""
-    shape = (len(plan), sum(p.size for p in params))
-    forked = len(plan) > 1 and total > 0 and _usable_cpus() >= 2
+    """The peer the caller's steps use: with two chunks, two usable CPUs and
+    ``fork``, a worker process forked now for the whole run; otherwise None,
+    and this process runs every chunk. On leaving, no worker is left
+    running."""
+    cpus = _usable_cpus()
+    forked = len(plan) > 1 and total > 0 and cpus >= 2
     if forked:
         # imported only to fork: it adds about 6 ms to a process's start, and
         # with it loaded, one-chunk training steps measured about 5 % slower
         import multiprocessing
         forked = "fork" in multiprocessing.get_all_start_methods()
     if not forked:
-        grads = np.empty(shape, model.dtype) if len(plan) > 1 else None
-        yield _InProcess(params, tuple(range(len(plan))), grads)
+        yield None
         return
     ctx = multiprocessing.get_context("fork")
+    shape = (len(plan), sum(p.size for p in params))
     shared = mmap.mmap(-1, math.prod(shape) * model.dtype.itemsize)
     grads = np.frombuffer(shared, model.dtype).reshape(shape)
-    # the two processes take the CPUs that BLAS threads would: two BLAS
-    # threads in each process made a small step three times slower
+    # The two processes split the CPUs that BLAS threads would take: each
+    # keeps at most half of them. On two CPUs that is one thread each, where
+    # two BLAS threads in each process made a small step three times slower.
     blas = _openblas_threads()
-    blas_threads = blas[0]() if blas else None
-    if blas:
-        blas[1](1)  # before the fork, so that the worker inherits it
+    full = blas[0]() if blas else None
     conn, worker_end = ctx.Pipe()
-    worker = ctx.Process(target=_worker_main, daemon=True, name="tfcns-train-worker",
-                         args=(worker_end, conn, model, dataset, cfg, state, total, plan, grads))
-    worker.start()
-    worker_end.close()
-    finished = False
-    try:
-        yield _PipeSwap(params, conn, 0, grads)
-        finished = True
-    except (EOFError, ConnectionResetError) as exc:
-        worker.join(1.0)
-        raise WorkerFailed(f"training worker exited unexpectedly (exit code {worker.exitcode})") from exc
-    finally:
-        conn.close()
-        if finished:
-            worker.join(10.0)
-        if worker.is_alive():
-            worker.kill()
-        worker.join()
-        if blas:
-            blas[1](blas_threads)
+    share = None if full is None else max(1, min(full, cpus // 2))
+    with _blas_threads(share):  # set before the fork, so that the worker inherits it
+        worker = ctx.Process(target=_worker_main, daemon=True, name="tfcns-train-worker",
+                             args=(worker_end, conn, model, dataset, cfg, state, total, plan, grads))
+        worker.start()
+        worker_end.close()
+        finished = False
+        try:
+            yield _Peer(params, conn, 0, grads, full)
+            finished = True
+        except (EOFError, ConnectionResetError) as exc:
+            worker.join(1.0)
+            raise WorkerFailed(f"training worker exited unexpectedly (exit code {worker.exitcode})") from exc
+        finally:
+            conn.close()
+            if finished:
+                worker.join(10.0)
+            if worker.is_alive():
+                worker.kill()
+            worker.join()
 
 
 def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConfig,
@@ -467,7 +491,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
     state = OptimizerState.for_model(model)
     log = TrainLog()
     total = total_iterations(cfg, len(dataset))
-    plan = _chunk_plan(cfg.batch_size)
+    plan = _chunk_plan(cfg.batch_size, dataset[0].mask.size)
     log_opener = contextlib.nullcontext()  # enters as None: no log file
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -476,7 +500,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
         log_opener = open(out_dir / "training.log", "a", encoding="utf-8")
 
     runner = _step_runner(model, params, dataset, cfg, state, total, plan)
-    with log_opener as log_file, runner as swap:
+    with log_opener as log_file, runner as peer:
         def emit(line: str):
             if log_file is not None:
                 log_file.write(line + "\n")
@@ -485,7 +509,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
         for it in range(total):
             x, y, model_rng = _prepare_batch(dataset, cfg, it, model.dtype)
             try:
-                loss, d_part, c_part = _step(model, params, x, y, model_rng, plan, swap)
+                loss, d_part, c_part = _step(model, params, x, y, model_rng, plan, peer)
             except NonFiniteValue as exc:
                 raise NonFiniteLoss(
                     f"non-finite loss at iteration {it}; last good checkpoint: "
@@ -505,7 +529,8 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
                 cb(record)
 
             if cfg.eval_every and (it + 1) % cfg.eval_every == 0:
-                report = evaluate(model, dataset)
+                with _blas_threads(peer.blas_threads if peer else None):  # the worker waits meanwhile
+                    report = evaluate(model, dataset)
                 ev = EvalRecord(it, report.dice_avg, report.hd95_avg, report.jaccard_avg)
                 log.evals.append(ev)
                 emit(ev.line())

@@ -249,23 +249,6 @@ class TestConvTranspose2d:
         with pytest.raises(ShapeMismatch):
             ad.conv_transpose2d(t64(np.zeros((1, 2, 3, 3))), t64(np.zeros((2, 1, 2, 3))))
 
-    def test_last_224_transition_up_keeps_one_band_beside_its_output(self, rng):
-        """The paper model's last transition-up (288 -> 72 channels, 112^2 ->
-        224^2, float32) writes each tap's GEMM straight into its output: the
-        output (14.45 MB) plus one band's product (at most 1 MB), not a
-        second copy of the output."""
-        x = Tensor(rng.standard_normal((1, 288, 112, 112), dtype=np.float32))
-        w = Tensor(rng.standard_normal((288, 72, 2, 2), dtype=np.float32))
-        b = Tensor(np.zeros(72, np.float32))
-        tracemalloc.start()
-        try:
-            out = ad.conv_transpose2d(x, w, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (1, 72, 224, 224)
-        assert peak < 20 * 2**20
-
 
 def per_layer_chain(inputs, weights, biases, p, rng):
     """A dense block as separate tape ops: each layer is conv2d -> gelu ->

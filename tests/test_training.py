@@ -300,11 +300,41 @@ def use_worker(monkeypatch, on: bool) -> None:
     monkeypatch.setattr(training, "_usable_cpus", lambda: 2 if on else 1)
 
 
+@pytest.fixture
+def split_small_steps(monkeypatch):
+    """Split the 16x16 test steps too, which hold too few pixels to be split."""
+    monkeypatch.setattr(training, "_MIN_CHUNK_PIXELS", 1)
+
+
+@pytest.mark.usefixtures("split_small_steps")
 class TestChunkedStep:
-    def test_chunk_plan(self):
-        assert training._chunk_plan(1) == [(0, 1)]
-        assert training._chunk_plan(3) == [(0, 2), (2, 3)]
-        assert training._chunk_plan(8) == [(0, 4), (4, 8)]
+    def test_chunk_plan(self, monkeypatch):
+        assert training._chunk_plan(1, 50176) == [(0, 1)]
+        assert training._chunk_plan(3, 1) == [(0, 2), (2, 3)]
+        monkeypatch.setattr(training, "_MIN_CHUNK_PIXELS", 4096)
+        assert training._chunk_plan(8, 1024) == [(0, 4), (4, 8)]
+        assert training._chunk_plan(7, 1024) == [(0, 4), (4, 7)]
+        assert training._chunk_plan(6, 1024) == [(0, 6)]
+        assert training._chunk_plan(8, 1023) == [(0, 8)]
+        assert training._chunk_plan(2, 50176) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_step_of_small_chunks_is_the_whole_batch_step_with_no_worker(self, quick_dataset, monkeypatch,
+                                                                          dtype):
+        monkeypatch.setattr(training, "_MIN_CHUNK_PIXELS", 4096)
+        use_worker(monkeypatch, True)
+        model_cfg = small_model_config(dropout_p=0.1)
+        cfg = quick_train_cfg(batch_size=4, max_iterations=1)  # 2 x 16 x 16 pixels a chunk
+        x, y, rng = training._prepare_batch(quick_dataset, cfg, 0, np.dtype(dtype))
+        ref_loss, ref = whole_batch_step(build(model_cfg, dtype=dtype), x, y, rng)
+        model = build(model_cfg, dtype=dtype)
+        children = []
+        log = train(model, quick_dataset, cfg,
+                    callbacks=[lambda record: children.append(len(multiprocessing.active_children()))])
+        assert children == [0]
+        assert log.records[0].loss == ref_loss
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.grad, ref[name]), name
 
     @pytest.mark.parametrize("batch", [3, 12])
     def test_a_chunks_dropout_masks_are_its_rows_of_the_batch_wide_masks(self, batch):
@@ -312,7 +342,7 @@ class TestChunkedStep:
         shapes = [(batch, 8, 6, 6), (batch, 2, 5, 5), (batch, 5, 24), (batch, 5, 6), (batch, 8, 3, 3)]
         step_rng = np.random.default_rng(7)
         full = [ad._dropout_keep(np.empty(shape), 0.3, step_rng) for shape in shapes]
-        for s0, s1 in training._chunk_plan(batch):
+        for s0, s1 in training._chunk_plan(batch, 1):
             view = training._DropoutView(np.random.default_rng(7), s0, batch)
             for shape, mask in zip(shapes, full):
                 assert np.array_equal(ad._dropout_keep(np.empty((s1 - s0, *shape[1:])), 0.3, view),
@@ -342,6 +372,32 @@ class TestChunkedStep:
         for name, p in model.named_parameters():
             assert np.array_equal(p.grad, ref[name]), name
 
+    def test_with_a_worker_each_process_keeps_half_the_blas_threads_but_evaluation_all(self, quick_dataset,
+                                                                                       monkeypatch):
+        blas = training._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy does not use OpenBLAS here")
+        get, put = blas
+        use_worker(monkeypatch, True)
+        evaluate = training.evaluate
+        seen = {"step": [], "eval": []}
+
+        def counted_evaluate(*args):
+            seen["eval"].append(get())
+            return evaluate(*args)
+
+        monkeypatch.setattr(training, "evaluate", counted_evaluate)
+        before = get()
+        put(2)
+        try:
+            train(build(small_model_config()), quick_dataset, quick_train_cfg(max_iterations=2, eval_every=1),
+                  callbacks=[lambda record: seen["step"].append(get())])
+            after = get()
+        finally:
+            put(before)
+        assert seen == {"step": [1, 1], "eval": [2, 2]}  # two usable CPUs: one BLAS thread a process
+        assert after == 2
+
     @pytest.mark.parametrize("batch", [3, 8])
     def test_forked_and_in_process_runs_are_byte_identical(self, quick_dataset, tmp_path, monkeypatch, batch):
         runs = []
@@ -357,6 +413,7 @@ class TestChunkedStep:
         assert runs[0] == runs[1]
 
 
+@pytest.mark.usefixtures("split_small_steps")
 class TestWorkerFailures:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("worker", [True, False])
@@ -425,6 +482,7 @@ class TestWorkerFailures:
             "from tfcns.data import SyntheticSpec, generate_synthetic\n"
             "from tfcns.model import ModelConfig, build\n"
             "training._usable_cpus = lambda: 2\n"
+            "training._MIN_CHUNK_PIXELS = 1\n"
             "def on_step(record):\n"
             "    (worker,) = multiprocessing.active_children()\n"
             "    null = os.path.samestat(os.stat(f'/proc/{worker.pid}/fd/1'), os.stat(os.devnull))\n"
