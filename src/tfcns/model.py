@@ -21,9 +21,13 @@ Checkpoint container layout (little-endian):
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,6 +54,8 @@ from .nn import Conv2d, Module
 
 CHECKPOINT_MAGIC = b"TFCN"
 CHECKPOINT_VERSION = 1
+_BLAS_LOCK = threading.Lock()
+_BLAS_OPEN = []  # one entry per open _one_blas_thread block: the count before the first
 
 SKIP_GATES = {"none": None, "clab": CLAB, "cuab_like": CUABLike}
 SKIP_ATTENTION_CHOICES = tuple(SKIP_GATES)
@@ -257,11 +263,51 @@ def build(cfg: ModelConfig, rng: Optional[np.random.Generator] = None, dtype=np.
     return TFCNsModel(cfg, rng, dtype=dtype)
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> Optional[tuple]:
+    """(get, set) of the thread count of the OpenBLAS that numpy calls, or
+    None where numpy uses another BLAS."""
+    core = getattr(np, "_core", None) or np.core  # np.core before numpy 2
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)  # its symbol lookup reaches the BLAS it links
+    for name in ("scipy_openblas{}64_", "openblas{}64_", "openblas{}"):
+        get = getattr(lib, name.format("_get_num_threads"), None)
+        put = getattr(lib, name.format("_set_num_threads"), None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread, whatever the CPU count (the
+    float32 GEMMs give other bits at other counts); no change where numpy uses
+    another BLAS. The count belongs to the process: blocks open in several
+    threads share it, and the count before the first returns after the last."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_LOCK:
+        _BLAS_OPEN.append(_BLAS_OPEN[0] if _BLAS_OPEN else get())
+        put(1)
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            before = _BLAS_OPEN.pop()
+            if not _BLAS_OPEN:
+                put(before)
+
+
 def predict(model: TFCNsModel, x) -> np.ndarray:
     """Per-pixel argmax over the class logits -> B x H x W class indices (the
     softmax is monotone, so this is the most probable class). Ties resolve to
     the lowest class index."""
-    logits = model.forward(x)
+    with _one_blas_thread():
+        logits = model.forward(x)
     return np.argmax(logits.data, axis=1).astype(np.int32)
 
 
@@ -271,9 +317,10 @@ def class_activation_map(model: TFCNsModel, x, target_class: int) -> np.ndarray:
     all-zero) map normalizes to zeros."""
     if not 0 <= target_class < model.cfg.num_classes:
         raise ClassOutOfRange(f"class {target_class} outside [0, {model.cfg.num_classes})")
-    features = model.features(x)
-    weights = model.head.weight.data[target_class, :, 0, 0]
-    cam = np.tensordot(features.data, weights, axes=([1], [0]))
+    with _one_blas_thread():
+        features = model.features(x)
+        weights = model.head.weight.data[target_class, :, 0, 0]
+        cam = np.tensordot(features.data, weights, axes=([1], [0]))
     cam = np.maximum(cam, 0.0)
     lo = cam.min(axis=(1, 2), keepdims=True)
     hi = cam.max(axis=(1, 2), keepdims=True)

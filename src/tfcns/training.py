@@ -7,7 +7,8 @@ sampling, augmentation draws, dropout masks) derives from
 ``SeedSequence(seed, spawn_key=(i,))``, so a fixed seed reproduces the loss
 trajectory bit-for-bit and checkpoints only need the iteration counter to
 describe the generator state. The bits depend on the seed, the iteration,
-the batch size and the image size, not on how many CPUs the machine has.
+the batch size and the image size, not on how many CPUs the machine has:
+``train`` runs OpenBLAS (where numpy calls it) at one thread in every process.
 
 A step with B >= 2 whose first ceil(B/2) samples hold at least
 ``_MIN_CHUNK_PIXELS`` pixels runs as two chunks, those samples and the
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import ctypes
-import functools
 import math
 import mmap
 import os
@@ -51,7 +50,7 @@ from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue, ShapeMismatch,
 from .metrics import (  # noqa: F401
     LossSums, MetricReport, aggregate, combined_loss_parts, evaluate_case, loss_from_sums, loss_sums,
 )
-from .model import ModelConfig, TFCNsModel, build, predict, save_checkpoint
+from .model import ModelConfig, TFCNsModel, _one_blas_thread, build, predict, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -260,42 +259,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-@functools.lru_cache(maxsize=None)
-def _openblas_threads() -> Optional[tuple]:
-    """(get, set) of the thread count of the OpenBLAS that numpy calls, or
-    None where numpy uses another BLAS."""
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as core
-    lib = ctypes.CDLL(core.__file__)  # its symbol lookup reaches the BLAS it links
-    for name in ("scipy_openblas{}64_", "openblas{}64_", "openblas{}"):
-        get = getattr(lib, name.format("_get_num_threads"), None)
-        put = getattr(lib, name.format("_set_num_threads"), None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _blas_threads(count: Optional[int]):
-    """Run the block with OpenBLAS at ``count`` threads, then restore the
-    count it had; no change where ``count`` is None or numpy uses another
-    BLAS."""
-    blas = None if count is None else _openblas_threads()
-    if blas is None:
-        yield
-        return
-    before = blas[0]()
-    blas[1](count)
-    try:
-        yield
-    finally:
-        blas[1](before)
-
-
 class _DropoutView:
     """Chunk [s0, s0 + n)'s view of a B-sample step's dropout generator. Every
     activation has the batch axis first, so a draw of the chunk's shape
@@ -323,13 +286,10 @@ class _Peer:
     ``grads``, in memory both processes share, and a token over the pipe says
     the row is written; then each side sums the two rows. A side only writes
     its row after the next step's sums arrive, which the other side sends only
-    once it has read both rows, so no row is overwritten while it is read.
-    ``blas_threads`` is this process's OpenBLAS thread count before the fork
-    (None where numpy uses another BLAS)."""
+    once it has read both rows, so no row is overwritten while it is read."""
 
-    def __init__(self, params: Sequence[Parameter], conn, mine: int, grads: np.ndarray,
-                 blas_threads: Optional[int] = None):
-        self.conn, self.mine, self.grads, self.blas_threads = conn, mine, grads, blas_threads
+    def __init__(self, params: Sequence[Parameter], conn, mine: int, grads: np.ndarray):
+        self.conn, self.mine, self.grads = conn, mine, grads
         self._total = np.empty(grads.shape[1], grads.dtype)
         ends = np.cumsum([p.size for p in params])
         self._views = [self._total[e - p.size:e].reshape(p.shape) for p, e in zip(params, ends)]
@@ -430,8 +390,7 @@ def _step_runner(model: TFCNsModel, params: Sequence[Parameter], dataset, cfg: T
     ``fork``, a worker process forked now for the whole run; otherwise None,
     and this process runs every chunk. On leaving, no worker is left
     running."""
-    cpus = _usable_cpus()
-    forked = len(plan) > 1 and total > 0 and cpus >= 2
+    forked = len(plan) > 1 and total > 0 and _usable_cpus() >= 2
     if forked:
         # imported only to fork: it adds about 6 ms to a process's start, and
         # with it loaded, one-chunk training steps measured about 5 % slower
@@ -444,32 +403,25 @@ def _step_runner(model: TFCNsModel, params: Sequence[Parameter], dataset, cfg: T
     shape = (len(plan), sum(p.size for p in params))
     shared = mmap.mmap(-1, math.prod(shape) * model.dtype.itemsize)
     grads = np.frombuffer(shared, model.dtype).reshape(shape)
-    # The two processes split the CPUs that BLAS threads would take: each
-    # keeps at most half of them. On two CPUs that is one thread each, where
-    # two BLAS threads in each process made a small step three times slower.
-    blas = _openblas_threads()
-    full = blas[0]() if blas else None
     conn, worker_end = ctx.Pipe()
-    share = None if full is None else max(1, min(full, cpus // 2))
-    with _blas_threads(share):  # set before the fork, so that the worker inherits it
-        worker = ctx.Process(target=_worker_main, daemon=True, name="tfcns-train-worker",
-                             args=(worker_end, conn, model, dataset, cfg, state, total, plan, grads))
-        worker.start()
-        worker_end.close()
-        finished = False
-        try:
-            yield _Peer(params, conn, 0, grads, full)
-            finished = True
-        except (EOFError, ConnectionResetError) as exc:
-            worker.join(1.0)
-            raise WorkerFailed(f"training worker exited unexpectedly (exit code {worker.exitcode})") from exc
-        finally:
-            conn.close()
-            if finished:
-                worker.join(10.0)
-            if worker.is_alive():
-                worker.kill()
-            worker.join()
+    worker = ctx.Process(target=_worker_main, daemon=True, name="tfcns-train-worker",
+                         args=(worker_end, conn, model, dataset, cfg, state, total, plan, grads))
+    worker.start()
+    worker_end.close()
+    finished = False
+    try:
+        yield _Peer(params, conn, 0, grads)
+        finished = True
+    except (EOFError, ConnectionResetError) as exc:
+        worker.join(1.0)
+        raise WorkerFailed(f"training worker exited unexpectedly (exit code {worker.exitcode})") from exc
+    finally:
+        conn.close()
+        if finished:
+            worker.join(10.0)
+        if worker.is_alive():
+            worker.kill()
+        worker.join()
 
 
 def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConfig,
@@ -479,9 +431,9 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
     ``eval_every`` iterations; returns the per-iteration log. With an
     output directory, writes the line-delimited training log and checkpoints
     at the end and at the best eval dice; an output directory whose
-    training.log is not empty is refused. Callbacks, evaluation, the log and
-    checkpoints run in this process only; a callback must not change the
-    model, since a worker holds a replica of it."""
+    training.log is not empty is refused. Callbacks (at one OpenBLAS thread),
+    evaluation, the log and checkpoints run in this process only; a callback
+    must not change the model, since a worker holds a replica of it."""
     if not dataset:
         raise ConfigInvalid("training dataset is empty")
     shapes = {pair.image.shape for pair in dataset}
@@ -500,7 +452,8 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
         log_opener = open(out_dir / "training.log", "a", encoding="utf-8")
 
     runner = _step_runner(model, params, dataset, cfg, state, total, plan)
-    with log_opener as log_file, runner as peer:
+    # one BLAS thread before the worker forks, so that it inherits the count
+    with _one_blas_thread(), log_opener as log_file, runner as peer:
         def emit(line: str):
             if log_file is not None:
                 log_file.write(line + "\n")
@@ -529,8 +482,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
                 cb(record)
 
             if cfg.eval_every and (it + 1) % cfg.eval_every == 0:
-                with _blas_threads(peer.blas_threads if peer else None):  # the worker waits meanwhile
-                    report = evaluate(model, dataset)
+                report = evaluate(model, dataset)
                 ev = EvalRecord(it, report.dice_avg, report.hd95_avg, report.jaccard_avg)
                 log.evals.append(ev)
                 emit(ev.line())

@@ -170,11 +170,13 @@ def dense_block_direct(inputs, weights, biases, dropout_p: float = 0.0, rng=None
 def whole_batch_step(model, x: np.ndarray, y: np.ndarray, rng):
     """One training step as it ran before steps were split into chunks: one
     taped forward over the whole batch with the batch-wide dropout draws,
-    soft Dice and cross-entropy as whole-batch means, one backward. Returns
-    the loss and {parameter name: gradient}."""
+    soft Dice and cross-entropy as whole-batch means, one backward, with
+    OpenBLAS at one thread as in ``train``. Returns the loss and
+    {parameter name: gradient}."""
     import tfcns.autodiff as ad
+    from tfcns.model import _one_blas_thread
 
-    with ad.Tape() as tape:
+    with _one_blas_thread(), ad.Tape() as tape:
         for p in model.parameters():
             tape.watch(p)
         logits = model.forward(x, rng=rng)

@@ -442,6 +442,38 @@ class TestPredict:
                             best, best_v = c, logits[b, c, i, j]
                     assert mask[b, i, j] == best
 
+    def test_threads_that_predict_at_once_each_run_at_one_blas_thread(self, rng, monkeypatch):
+        """The OpenBLAS thread count belongs to the process: a thread that
+        leaves predict must not restore the caller's count under another
+        thread's forward."""
+        blas = tfcns.model._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy does not use OpenBLAS here")
+        get, put = blas
+        model = build(tiny_model_config())
+        inputs = [rng.standard_normal((1, 1, 16, 16)).astype(np.float32) for _ in range(4)]
+        features, seen = model.features, []
+
+        def counted_features(*args):
+            out = features(*args)
+            seen.append(get())  # the count as the forward ends
+            return out
+
+        monkeypatch.setattr(model, "features", counted_features)
+        before, interval = get(), sys.getswitchinterval()
+        put(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(10):
+                    list(pool.map(lambda x: predict(model, x), inputs, timeout=60))
+            after = get()
+        finally:
+            sys.setswitchinterval(interval)
+            put(before)
+        assert seen == [1] * 40
+        assert after == 2
+
 
 class TestCAM:
     def test_matches_weighted_feature_recomputation(self, rng):

@@ -1,6 +1,7 @@
 """Optimizer arithmetic, lr schedule, augmentation, the training loop's
 determinism and log format, and the ablation runner."""
 
+import hashlib
 import inspect
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -22,7 +24,8 @@ from tfcns.autodiff import Parameter
 from tfcns.data import SegmentationPair, SyntheticSpec, generate_synthetic
 from tfcns.errors import ConfigInvalid, NonFiniteLoss, WorkerFailed
 from tfcns.metrics import MetricReport
-from tfcns.model import MLP_VARIANT_CHOICES, SKIP_ATTENTION_CHOICES, build
+from tfcns.model import (MLP_VARIANT_CHOICES, SKIP_ATTENTION_CHOICES, ModelConfig, _openblas_threads, build,
+                         class_activation_map, predict)
 from tfcns.training import (
     OptimizerState,
     TrainConfig,
@@ -372,30 +375,73 @@ class TestChunkedStep:
         for name, p in model.named_parameters():
             assert np.array_equal(p.grad, ref[name]), name
 
-    def test_with_a_worker_each_process_keeps_half_the_blas_threads_but_evaluation_all(self, quick_dataset,
-                                                                                       monkeypatch):
-        blas = training._openblas_threads()
-        if blas is None:
-            pytest.skip("numpy does not use OpenBLAS here")
-        get, put = blas
-        use_worker(monkeypatch, True)
+    @pytest.mark.parametrize("worker", [True, False])
+    def test_every_computation_runs_at_one_blas_thread_and_the_callers_count_comes_back(
+            self, quick_dataset, monkeypatch, worker):
+        get, put = openblas_or_skip()
+        use_worker(monkeypatch, worker)
         evaluate = training.evaluate
-        seen = {"step": [], "eval": []}
+        seen = {"step": [], "eval": [], "forward": []}
 
         def counted_evaluate(*args):
             seen["eval"].append(get())
             return evaluate(*args)
 
+        def stop(record):
+            seen["step"].append(get())
+            raise KeyError("stop")
+
         monkeypatch.setattr(training, "evaluate", counted_evaluate)
+        model = build(small_model_config())
+        image = quick_dataset[0].image[None]
+        after = []
         before = get()
         put(2)
         try:
-            train(build(small_model_config()), quick_dataset, quick_train_cfg(max_iterations=2, eval_every=1),
+            train(model, quick_dataset, quick_train_cfg(max_iterations=2, eval_every=1),
                   callbacks=[lambda record: seen["step"].append(get())])
+            after.append(get())
+            features = model.features  # predict's forward and class_activation_map both call it
+
+            def counted_features(*args):
+                seen["forward"].append(get())
+                return features(*args)
+
+            monkeypatch.setattr(model, "features", counted_features)
+            predict(model, image)
+            after.append(get())
+            class_activation_map(model, image, 1)
+            after.append(get())
+            with pytest.raises(KeyError):
+                train(build(small_model_config()), quick_dataset, quick_train_cfg(), callbacks=[stop])
+            after.append(get())
+        finally:
+            put(before)
+        assert seen == {"step": [1, 1, 1], "eval": [1, 1], "forward": [1, 1]}
+        assert after == [2, 2, 2, 2]
+
+    def test_a_prediction_in_another_thread_does_not_wait_for_a_running_train(self, quick_dataset, monkeypatch):
+        """Blocks at one BLAS thread in several threads share the setting, so
+        a callback may wait for a predict() that another thread runs."""
+        get, put = openblas_or_skip()
+        use_worker(monkeypatch, False)
+        model = build(small_model_config())
+        image = quick_dataset[0].image[None]
+        seen = []
+
+        def predict_elsewhere(record):
+            other = threading.Thread(target=lambda: seen.append((predict(model, image).shape, get())), daemon=True)
+            other.start()
+            other.join(60)
+
+        before = get()
+        put(2)
+        try:
+            train(model, quick_dataset, quick_train_cfg(max_iterations=2), callbacks=[predict_elsewhere])
             after = get()
         finally:
             put(before)
-        assert seen == {"step": [1, 1], "eval": [2, 2]}  # two usable CPUs: one BLAS thread a process
+        assert seen == [((1, 16, 16), 1)] * 2
         assert after == 2
 
     @pytest.mark.parametrize("batch", [3, 8])
@@ -411,6 +457,55 @@ class TestChunkedStep:
             assert children == [int(worker)] * 5
             runs.append(((out / "training.log").read_bytes(), [p.data.tobytes() for p in model.parameters()]))
         assert runs[0] == runs[1]
+
+
+def openblas_or_skip() -> tuple:
+    """(get, set) of numpy's OpenBLAS thread count; skips where numpy uses
+    another BLAS."""
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("numpy does not use OpenBLAS here")
+    return blas
+
+
+def paper_run(out: Path, batch: int) -> tuple:
+    """Three steps and one evaluation of the paper model at 64x64 with four
+    classes: the training.log bytes, the SHA-256 of all parameters, and the
+    live child processes each callback saw."""
+    data = generate_synthetic(SyntheticSpec(n_cases=2, height=64, width=64, num_classes=4, seed=3))
+    model = build(ModelConfig(num_classes=4, input_size=64))
+    children = []
+    train(model, data, TrainConfig(batch_size=batch, max_iterations=3, eval_every=3), out_dir=out,
+          callbacks=[lambda record: children.append(len(multiprocessing.active_children()))])
+    digest = hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest()
+    return (out / "training.log").read_bytes(), digest, children
+
+
+class TestBitsAtAnyThreadCount:
+    """The float32 GEMMs of the paper model give other bits at other OpenBLAS
+    thread counts, which the 16x16 test models are too small to show."""
+
+    def test_a_one_chunk_run_does_not_depend_on_the_callers_thread_count(self, tmp_path):
+        get, put = openblas_or_skip()
+        runs = []
+        before = get()
+        try:
+            for count in (1, 2):
+                put(count)
+                runs.append(paper_run(tmp_path / f"threads{count}", batch=1))
+        finally:
+            put(before)
+        assert runs[0] == runs[1]
+
+    def test_forked_and_in_caller_paper_runs_are_byte_identical(self, tmp_path, monkeypatch):
+        openblas_or_skip()
+        runs = {}
+        for worker in (True, False):
+            use_worker(monkeypatch, worker)
+            log, digest, children = paper_run(tmp_path / f"worker{worker}", batch=2)
+            assert children == [int(worker)] * 3  # 2 x 64 x 64: two chunks of 4096 pixels
+            runs[worker] = log, digest
+        assert runs[True] == runs[False]
 
 
 @pytest.mark.usefixtures("split_small_steps")
