@@ -10,20 +10,20 @@ describe the generator state. The bits depend on the seed, the iteration,
 the batch size and the image size, not on how many CPUs the machine has:
 ``train`` runs OpenBLAS (where numpy calls it) at one thread in every process.
 
-A step with B >= 2 whose first ceil(B/2) samples hold at least
-``_MIN_CHUNK_PIXELS`` pixels runs as two chunks, those samples and the
-rest. Each chunk runs a taped forward with the rows of the batch-wide dropout
-masks that are its own, and turns its logits into loss sums. The sums are
-added in chunk order, so both chunks see the same loss; each chunk's backward
-holds the other chunk's sums constant, so its gradient is its exact share,
-and the step applies the sum of the two shares. Where two CPUs are usable
-and ``fork`` exists, one worker process forked for the run takes chunk 1
-of every step on its own replica of the model and the optimizer state: the
-two processes swap loss sums over a pipe and gradients through shared
-memory, and both apply the same update. Otherwise this process runs both
-chunks, with the same bits. Any other step (B = 1, or smaller chunks, where
-the per-op cost of a second chunk outweighs the gain) is one chunk in this
-process, as a whole batch.
+A step runs as the chunks of ``_chunk_plan``: the first ceil(B/2) samples
+and the rest where B >= 2 and those samples hold at least
+``_MIN_CHUNK_PIXELS`` pixels, else the whole batch. Chunk k runs on process
+k mod W, where W = 2 if the step has more than one chunk, two CPUs are
+usable and ``fork`` exists (a worker forked for the run holds a replica of
+the model and the optimizer state), else 1. Each chunk runs a taped forward
+with its rows of the batch-wide dropout masks and turns its logits into
+loss sums, gathered by chunk index, so every chunk sees the same loss; each
+chunk's backward holds the other chunks' sums constant, so its gradient is
+its exact share. Each parameter's gradient is the chunks' shares added in
+chunk order, so the bits do not depend on W. At W = 2 the processes swap
+sums over a pipe and shares through shared memory, and both apply the same
+update. A one-chunk step (B = 1, or smaller chunks, where a second chunk's
+per-op cost outweighs the gain) keeps backward's gradients as they are.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue, ShapeMismatch,
 # perfbench's tracer, which wraps training.combined_loss_parts, still finds
 # it. A stopgap until the tracer stops patching module names (ROADMAP item 13).
 from .metrics import (  # noqa: F401
-    LossSums, MetricReport, aggregate, combined_loss_parts, evaluate_case, loss_from_sums, loss_sums,
+    MetricReport, aggregate, combined_loss_parts, evaluate_case, loss_from_sums, loss_sums,
 )
 from .model import ModelConfig, TFCNsModel, _one_blas_thread, build, predict, save_checkpoint
 
@@ -280,19 +280,20 @@ class _DropoutView:
 
 
 class _Peer:
-    """This process's side of a two-process step: it runs chunk ``mine`` and
-    the other process the other chunk. Loss sums go over the pipe ``conn``.
-    Each side writes its flattened parameter gradient into its own row of
-    ``grads``, in memory both processes share, and a token over the pipe says
-    the row is written; then each side sums the two rows. A side only writes
-    its row after the next step's sums arrive, which the other side sends only
-    once it has read both rows, so no row is overwritten while it is read."""
+    """This process's part of every step of a run: process ``rank`` of
+    ``size`` (W) runs chunks ``range(rank, K, W)`` of the K-chunk ``plan``.
+    At W = 2 loss sums go over the pipe ``conn``, and each process writes
+    its chunks' flattened gradient shares into their rows of ``rows`` (K x
+    parameter count, shared memory), then sends a token. It writes its rows
+    only after the next step's sums arrive, which the other process sends
+    once it has read every row, so no row is overwritten while it is read."""
 
-    def __init__(self, params: Sequence[Parameter], conn, mine: int, grads: np.ndarray):
-        self.conn, self.mine, self.grads = conn, mine, grads
-        self._total = np.empty(grads.shape[1], grads.dtype)
+    def __init__(self, params: Sequence[Parameter], plan: list, rank: int = 0, size: int = 1,
+                 conn=None, rows: Sequence[np.ndarray] = ()):
+        self.plan, self.chunks, self.conn, self.rows = plan, range(rank, len(plan), size), conn, rows
         ends = np.cumsum([p.size for p in params])
-        self._views = [self._total[e - p.size:e].reshape(p.shape) for p, e in zip(params, ends)]
+        views = [[row[e - p.size:e].reshape(p.shape) for p, e in zip(params, ends)] for row in rows]
+        self._columns = list(zip(*views))  # per parameter, its view of each row
 
     def _swap(self, obj):
         """Send ``obj`` and return what the other side sent. If that side has
@@ -306,29 +307,33 @@ class _Peer:
             raise msg
         return msg
 
-    def swap_sums(self, own: LossSums) -> list:
-        """Both chunks' sums, in chunk order."""
-        other = self._swap(own)
-        return [own, other] if self.mine == 0 else [other, own]
+    def gather(self, sums: dict) -> list:
+        """Every chunk's loss sums in chunk order, given this process's by chunk index."""
+        if self.conn is not None:
+            sums = {**sums, **self._swap(sums)}
+        return [sums[k] for k in range(len(self.plan))]
 
-    def sum_grads(self, params: Sequence[Parameter]) -> None:
-        """Set each parameter's gradient to the sum of both chunks' shares."""
-        np.concatenate([p.grad.reshape(-1) for p in params], out=self.grads[self.mine])
+    def shares(self, own: dict) -> list:
+        """Per parameter, every chunk's share of its gradient in chunk order
+        (at W = 2 views of the rows, this process's own read back from
+        theirs), given this process's shares in ``own``, which it empties."""
+        if self.conn is None:
+            return list(zip(*(own.pop(k) for k in range(len(self.plan)))))
+        for k, grads in own.items():
+            np.concatenate([g.reshape(-1) for g in grads], out=self.rows[k])
+        own.clear()
         self._swap(None)
-        np.add(self.grads[0], self.grads[1], out=self._total)
-        for p, view in zip(params, self._views):
-            p.grad = view
+        return list(self._columns)
 
 
 def _step(model: TFCNsModel, params: Sequence[Parameter], x: np.ndarray, y: np.ndarray,
-          rng: np.random.Generator, plan: list, peer: Optional[_Peer] = None) -> tuple:
-    """Forward, loss and backward of one step: of every chunk of ``plan``, or
-    with a peer, of chunk ``peer.mine`` only. Leaves the step's gradient on
-    the parameters and returns the (total, dice, cross-entropy) loss tensors
-    of the first chunk it ran."""
+          rng: np.random.Generator, peer: _Peer) -> tuple:
+    """Forward, loss and backward of this process's chunks of ``peer.plan``.
+    Leaves the step's gradient on the parameters and returns the (total,
+    dice, cross-entropy) loss tensors of the first chunk it ran."""
     taped = {}
-    for k in (range(len(plan)) if peer is None else (peer.mine,)):
-        s0, s1 = plan[k]
+    for k in peer.chunks:
+        s0, s1 = peer.plan[k]
         tape = ad.Tape()
         with tape:
             for p in params:
@@ -336,28 +341,24 @@ def _step(model: TFCNsModel, params: Sequence[Parameter], x: np.ndarray, y: np.n
                 tape.watch(p)
             logits = model.forward(x[s0:s1], rng=_DropoutView(rng, s0, len(x)))
             taped[k] = tape, loss_sums(logits, y[s0:s1], model.cfg.num_classes)
-    if peer is None:
-        sums = [own.detached() for _, own in taped.values()]
-    else:
-        sums = peer.swap_sums(taped[peer.mine][1].detached())
-    parts = None
+    sums = peer.gather({k: own.detached() for k, (_, own) in taped.items()})
+    parts, shares = {}, {}
     for k, (tape, own) in taped.items():
         with tape:
-            chunk_parts = loss_from_sums([own if i == k else s for i, s in enumerate(sums)])
-        ad.backward(chunk_parts[0])
-        if parts is None:
-            parts, first = chunk_parts, [p.grad for p in params]
-        else:  # this process ran chunk 0 too: add its share
-            for p, g in zip(params, first):
-                p.grad = g + p.grad
-    if peer is not None:
-        peer.sum_grads(params)
-    return parts
+            parts[k] = loss_from_sums(sums[:k] + [own] + sums[k + 1:])
+        ad.backward(parts[k][0])
+        shares[k] = [p.grad for p in params]
+    if len(peer.plan) > 1:  # one chunk keeps backward's gradients, uncopied
+        columns = peer.shares(shares)[::-1]
+        for p in params:  # popped, so that a share is freed once its sum replaces it
+            chunk_shares = columns.pop()
+            p.grad = sum(chunk_shares[1:], chunk_shares[0])
+    return parts[peer.chunks[0]]
 
 
-def _worker_main(conn, caller_end, model: TFCNsModel, dataset, cfg: TrainConfig,
-                 state: "OptimizerState", total: int, plan: list, grads: np.ndarray) -> None:
-    """Chunk 1 of every step of a run, on this process's replica. Writes
+def _worker_main(peer: _Peer, caller_end, model: TFCNsModel, dataset, cfg: TrainConfig,
+                 state: "OptimizerState", total: int) -> None:
+    """Process 1 of 2: its chunks of every step, on its own replica. Writes
     nothing to stdout; returns when the run ends or the caller is gone (end
     of file on the pipe), and sends the caller any error it raises."""
     caller_end.close()  # so that the pipe ends when the caller does
@@ -365,11 +366,10 @@ def _worker_main(conn, caller_end, model: TFCNsModel, dataset, cfg: TrainConfig,
     os.dup2(devnull, 1)
     os.close(devnull)
     params = model.parameters()
-    peer = _Peer(params, conn, 1, grads)
     try:
         for it in range(total):
             x, y, rng = _prepare_batch(dataset, cfg, it, model.dtype)
-            _step(model, params, x, y, rng, plan, peer)
+            _step(model, params, x, y, rng, peer)
             sgd_step(params, state, cfg)
     except (EOFError, ConnectionResetError):
         return  # the caller is gone
@@ -380,16 +380,15 @@ def _worker_main(conn, caller_end, model: TFCNsModel, dataset, cfg: TrainConfig,
     else:
         return
     with contextlib.suppress(OSError):
-        conn.send(failure)
+        peer.conn.send(failure)
 
 
 @contextlib.contextmanager
 def _step_runner(model: TFCNsModel, params: Sequence[Parameter], dataset, cfg: TrainConfig,
                  state: "OptimizerState", total: int, plan: list):
-    """The peer the caller's steps use: with two chunks, two usable CPUs and
-    ``fork``, a worker process forked now for the whole run; otherwise None,
-    and this process runs every chunk. On leaving, no worker is left
-    running."""
+    """The caller's _Peer: process 0 of 2, with a worker process forked now
+    for the whole run, where the plan has more than one chunk, two CPUs are
+    usable and ``fork`` exists; else 0 of 1. No worker outlives the block."""
     forked = len(plan) > 1 and total > 0 and _usable_cpus() >= 2
     if forked:
         # imported only to fork: it adds about 6 ms to a process's start, and
@@ -397,20 +396,20 @@ def _step_runner(model: TFCNsModel, params: Sequence[Parameter], dataset, cfg: T
         import multiprocessing
         forked = "fork" in multiprocessing.get_all_start_methods()
     if not forked:
-        yield None
+        yield _Peer(params, plan)
         return
     ctx = multiprocessing.get_context("fork")
     shape = (len(plan), sum(p.size for p in params))
     shared = mmap.mmap(-1, math.prod(shape) * model.dtype.itemsize)
-    grads = np.frombuffer(shared, model.dtype).reshape(shape)
+    rows = np.frombuffer(shared, model.dtype).reshape(shape)
     conn, worker_end = ctx.Pipe()
     worker = ctx.Process(target=_worker_main, daemon=True, name="tfcns-train-worker",
-                         args=(worker_end, conn, model, dataset, cfg, state, total, plan, grads))
+                         args=(_Peer(params, plan, 1, 2, worker_end, rows), conn, model, dataset, cfg, state, total))
     worker.start()
     worker_end.close()
     finished = False
     try:
-        yield _Peer(params, conn, 0, grads)
+        yield _Peer(params, plan, 0, 2, conn, rows)
         finished = True
     except (EOFError, ConnectionResetError) as exc:
         worker.join(1.0)
@@ -462,7 +461,7 @@ def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConf
         for it in range(total):
             x, y, model_rng = _prepare_batch(dataset, cfg, it, model.dtype)
             try:
-                loss, d_part, c_part = _step(model, params, x, y, model_rng, plan, peer)
+                loss, d_part, c_part = _step(model, params, x, y, model_rng, peer)
             except NonFiniteValue as exc:
                 raise NonFiniteLoss(
                     f"non-finite loss at iteration {it}; last good checkpoint: "

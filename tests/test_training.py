@@ -1,6 +1,7 @@
 """Optimizer arithmetic, lr schedule, augmentation, the training loop's
 determinism and log format, and the ablation runner."""
 
+import ast
 import hashlib
 import inspect
 import multiprocessing
@@ -457,6 +458,88 @@ class TestChunkedStep:
             assert children == [int(worker)] * 5
             runs.append(((out / "training.log").read_bytes(), [p.data.tobytes() for p in model.parameters()]))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("batch, count", [(3, 3), (8, 4), (7, 3)])
+    def test_any_chunk_plan_gives_the_same_bits_forked_and_in_the_caller(self, quick_dataset, tmp_path,
+                                                                         monkeypatch, batch, count):
+        """Forked, the caller runs chunks 0, 2, ... and the worker 1, 3, ..."""
+        monkeypatch.setattr(training, "_chunk_plan", even_chunks(count))
+        runs = []
+        for worker in (True, False):
+            use_worker(monkeypatch, worker)
+            model = build(small_model_config(dropout_p=0.1))
+            children = []
+            out = tmp_path / f"worker{worker}"
+            train(model, quick_dataset, quick_train_cfg(batch_size=batch, max_iterations=4), out_dir=out,
+                  callbacks=[lambda record: children.append(len(multiprocessing.active_children()))])
+            assert children == [int(worker)] * 4
+            runs.append(((out / "training.log").read_bytes(), [p.data.tobytes() for p in model.parameters()]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("worker", [True, False])
+    def test_a_four_chunk_step_agrees_with_the_whole_batch_step(self, quick_dataset, monkeypatch, worker):
+        monkeypatch.setattr(training, "_chunk_plan", even_chunks(4))
+        use_worker(monkeypatch, worker)
+        model_cfg = small_model_config(dropout_p=0.1)
+        cfg = quick_train_cfg(batch_size=8, max_iterations=1)
+        x, y, rng = training._prepare_batch(quick_dataset, cfg, 0, np.dtype(F64))
+        ref_loss, ref = whole_batch_step(build(model_cfg, dtype=F64), x, y, rng)
+        model = build(model_cfg, dtype=F64)
+        log = train(model, quick_dataset, cfg)  # leaves step 0's gradient on the parameters
+        assert abs(log.records[0].loss - ref_loss) <= 1e-12 * ref_loss
+        for name, p in model.named_parameters():
+            assert np.max(np.abs(p.grad - ref[name])) <= 1e-12 * np.max(np.abs(ref[name])), name
+
+    @pytest.mark.skipif(not (hasattr(os, "sched_setaffinity") and HAS_FORK and len(os.sched_getaffinity(0)) >= 2),
+                        reason="needs sched_setaffinity, fork and two usable CPUs")
+    def test_a_process_pinned_to_one_cpu_runs_every_chunk_with_the_forked_bits(self):
+        """The pinned process sets its affinity before it imports tfcns, and
+        nothing stands in for _usable_cpus on either side."""
+        script = (
+            "import os\n"
+            f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+            "from tfcns import training\n"
+            "training._MIN_CHUNK_PIXELS = 1\n"
+            "from test_training import split_run\n"
+            "print(repr(split_run()))\n"
+        )
+        pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
+                                                   os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT,
+                             env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120)
+        assert run.returncode == 0, run.stderr
+        pinned_children, pinned_digest = ast.literal_eval(run.stdout.strip())
+        children, digest = split_run()
+        assert (pinned_children, children) == ([0] * 5, [1] * 5)
+        assert pinned_digest == digest
+
+    @pytest.mark.parametrize("worker", [True, False])
+    def test_no_gradient_sized_buffer_outlives_a_split_step(self, quick_dataset, monkeypatch, worker):
+        use_worker(monkeypatch, worker)
+        model = build(small_model_config())
+        train(model, quick_dataset, quick_train_cfg(max_iterations=3))  # 2 chunks of 2 x 16 x 16 pixels
+        assert [p.name for p in model.parameters() if p.grad.base is not None] == []
+
+
+def even_chunks(count: int):
+    """A _chunk_plan that cuts every batch into ``count`` near-equal sample ranges."""
+    def plan(batch_size: int, pixels: int) -> list:
+        ends = [batch_size * i // count for i in range(count + 1)]
+        return list(zip(ends[:-1], ends[1:]))
+    return plan
+
+
+def split_run() -> tuple:
+    """Five steps of the dropout model at B=4 on the 16x16 quick data, two
+    chunks each where _MIN_CHUNK_PIXELS is 1: the live child processes each
+    callback saw, and the SHA-256 of all parameters."""
+    data = generate_synthetic(SyntheticSpec(n_cases=4, height=16, width=16, num_classes=3,
+                                            noise_sigma=0.01, seed=2, radius_min=2, radius_max=3))
+    model = build(small_model_config(dropout_p=0.1))
+    children = []
+    train(model, data, quick_train_cfg(max_iterations=5),
+          callbacks=[lambda record: children.append(len(multiprocessing.active_children()))])
+    return children, hashlib.sha256(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest()
 
 
 def openblas_or_skip() -> tuple:
