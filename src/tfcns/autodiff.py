@@ -12,6 +12,7 @@ Image tensors use the B x C x H x W layout throughout.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from dataclasses import dataclass, field
@@ -129,6 +130,7 @@ class Tape:
 class _ThreadState(threading.local):
     def __init__(self):
         self.stack = []
+        self.split = None  # the RowSplit of a forward split by rows (see split_rows)
 
 
 _STATE = _ThreadState()
@@ -575,6 +577,72 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _out("conv2d", (x, w, b), data, lambda g: _conv2d_backward(g, ctx))
 
 
+class RowSplit:
+    """A forward split by rows, as this process computes it: each row-local
+    op computes the rows of halves ``ranks`` of its output (see ``_halves``),
+    and ``exchange`` brings in the rest. Alone, a process computes both
+    halves in turn; ``processes.RowPartner`` computes one half and swaps
+    rows with a partner process. The halves, and so the bits, are the same
+    either way: they depend on the shape alone."""
+
+    ranks = (0, 1)
+
+    def exchange(self, arr: np.ndarray, halves: list) -> None:
+        """Complete ``arr`` (B x C x H x W, a view may do), whose rows of
+        ``halves[r]`` for r in ``ranks`` this process has written."""
+
+
+@contextlib.contextmanager
+def _split_by_rows(split: RowSplit):
+    """Run the block's tape-free forwards in this thread split by rows."""
+    _STATE.split = split
+    try:
+        yield
+    finally:
+        _STATE.split = None
+
+
+def _halves(h: int, step: int = 1) -> list:
+    """Rows [(lo, hi)] of half 0 and half 1 of ``h`` rows, cut at a multiple
+    of ``step``."""
+    m = h // (2 * step) * step
+    return [(0, m), (m, h)]
+
+
+def _row_split() -> Optional[RowSplit]:
+    """The thread's RowSplit where no tape is active, else None: a taped
+    forward always runs whole."""
+    return _STATE.split if _active() is None else None
+
+
+def split_rows(fn: Callable[[Tensor], Tensor], x: Tensor, halo: int = 0, pool: int = 1, up: int = 1) -> Tensor:
+    """``fn(x)`` for a row-local ``fn`` of a B x C x H x W map whose output
+    has H * up / pool rows, output row r reading input rows r * pool / up
+    (rounded down) and ``halo`` rows either side. In a forward split by rows
+    it runs ``fn`` on each half of the input rows this process computes (cut
+    at a multiple of ``pool``), plus the halo, given as a view, and the
+    other half's output rows come from ``RowSplit.exchange``. Elsewhere it
+    is ``fn(x)``."""
+    split = _row_split()
+    if split is None:
+        return fn(x)
+    h = x.shape[2]
+    halves = _halves(h, pool)
+    out = None
+    for lo, hi in (halves[r] for r in split.ranks):
+        a = max(0, lo - halo)
+        rows = Tensor.__new__(Tensor)  # a view, which only fn's row-local ops read
+        rows.data, rows.grad, rows.tape_id, rows._tape = x.data[:, :, a:hi + halo], None, None, None
+        part = fn(rows).data
+        if out is None:
+            out = np.empty((*part.shape[:2], h * up // pool, part.shape[3]), part.dtype)
+        top = (lo - a) * up // pool
+        out[:, :, lo * up // pool:hi * up // pool] = part[:, :, top:top + (hi - lo) * up // pool]
+        del part
+    split.exchange(out, [(lo * up // pool, hi * up // pool) for lo, hi in halves])
+    return Tensor(out)
+
+
 def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
                 dropout_p: float, rng: Optional[np.random.Generator] = None) -> Tensor:
     """FC-DenseNet block as one op over a shared feature buffer (Pleiss et al.,
@@ -591,7 +659,11 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
     backward() hands it an array it owns and copies one only if it is not.
     When a tape records the node it keeps F and, per layer, the GELU slope
     and the bool dropout keep mask: (itemsize + 1) bytes per element of the
-    layer's slot. Otherwise each layer's arrays are freed once it is done."""
+    layer's slot. Otherwise each layer's arrays are freed once it is done.
+    In a forward split by rows (see split_rows) without dropout, each layer
+    computes its output by halves of the rows, each half's conv reading one
+    row of the other, and the layer's slot is complete (``RowSplit.exchange``)
+    before the next layer reads it."""
     shapes = [t.shape for t in inputs]
     if any(len(s) != 4 or s[0] != shapes[0][0] or s[2:] != shapes[0][2:] for s in shapes):
         raise ShapeMismatch(f"dense_block inputs differ in batch or map size: {shapes}")
@@ -606,15 +678,22 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
     np.concatenate([t.data for t in inputs], axis=1, out=feats[:, :c0])
     inputs.clear()
     saved = [] if record is not None else None
+    h = feats.shape[2]
+    split = _row_split() if rng is None else None
+    halves = _halves(h) if split else [(0, h)]
     for i, (w, b) in enumerate(zip(weights, biases)):
         lo = c0 + i * growth
-        z, ctx = _conv2d_forward(feats[:, :lo], w.data, None if b is None else b.data)
-        y, cdf = _gelu_forward(z)
-        keep = _dropout_keep(y, dropout_p, rng)
-        feats[:, lo:lo + growth] = y if keep is None else y * _dropout_scale(keep, dropout_p, y.dtype)
-        if saved is not None:
-            saved.append((ctx, _gelu_slope(z, cdf), keep))
-        del z, cdf, y, keep  # this layer's working arrays go before the next conv
+        for r0, r1 in (halves[r] for r in split.ranks) if split else halves:
+            top = min(r0, 1)  # the conv reads one row more each side (a 3x3 kernel): the top one first
+            z, ctx = _conv2d_forward(feats[:, :lo, r0 - top:r1 + 1], w.data, None if b is None else b.data)
+            y, cdf = _gelu_forward(z[:, :, top:top + r1 - r0])
+            keep = _dropout_keep(y, dropout_p, rng)
+            feats[:, lo:lo + growth, r0:r1] = y if keep is None else y * _dropout_scale(keep, dropout_p, y.dtype)
+            if saved is not None:
+                saved.append((ctx, _gelu_slope(z, cdf), keep))
+            del z, cdf, y, keep  # this layer's working arrays go before the next conv
+        if split:
+            split.exchange(feats[:, lo:lo + growth], halves)
 
     def backward(g):
         gws, gbs = [None] * len(saved), [None] * len(saved)

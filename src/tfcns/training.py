@@ -31,9 +31,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
-import mmap
-import os
-import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -41,9 +38,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import processes
 from .autodiff import Parameter
 from .data import SEED_HELP, SegmentationPair, config_field
-from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue, ShapeMismatch, WorkerFailed
+from .errors import ConfigInvalid, NonFiniteLoss, NonFiniteValue, ShapeMismatch
 # combined_loss_parts is not called here: it is imported only so that
 # perfbench's tracer, which wraps training.combined_loss_parts, still finds
 # it. A stopgap until the tracer stops patching module names (ROADMAP item 13).
@@ -254,9 +252,7 @@ def _chunk_plan(batch_size: int, pixels: int) -> list:
     return [(0, half), (half, batch_size)]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (1 where the platform cannot tell)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_usable_cpus = processes.usable_cpus
 
 
 class _DropoutView:
@@ -295,22 +291,10 @@ class _Peer:
         views = [[row[e - p.size:e].reshape(p.shape) for p, e in zip(params, ends)] for row in rows]
         self._columns = list(zip(*views))  # per parameter, its view of each row
 
-    def _swap(self, obj):
-        """Send ``obj`` and return what the other side sent. If that side has
-        ended, the pipe still holds what it sent last (a worker's error) or
-        ends: recv() raises EOFError, or ConnectionResetError where the
-        ended side left unread data in its end of the socket pair."""
-        with contextlib.suppress(BrokenPipeError):
-            self.conn.send(obj)
-        msg = self.conn.recv()
-        if isinstance(msg, BaseException):  # the worker failed; see _worker_main
-            raise msg
-        return msg
-
     def gather(self, sums: dict) -> list:
         """Every chunk's loss sums in chunk order, given this process's by chunk index."""
         if self.conn is not None:
-            sums = {**sums, **self._swap(sums)}
+            sums = {**sums, **processes.swap(self.conn, sums)}
         return [sums[k] for k in range(len(self.plan))]
 
     def shares(self, own: dict) -> list:
@@ -322,7 +306,7 @@ class _Peer:
         for k, grads in own.items():
             np.concatenate([g.reshape(-1) for g in grads], out=self.rows[k])
         own.clear()
-        self._swap(None)
+        processes.swap(self.conn, None)
         return list(self._columns)
 
 
@@ -356,71 +340,35 @@ def _step(model: TFCNsModel, params: Sequence[Parameter], x: np.ndarray, y: np.n
     return parts[peer.chunks[0]]
 
 
-def _worker_main(peer: _Peer, caller_end, model: TFCNsModel, dataset, cfg: TrainConfig,
-                 state: "OptimizerState", total: int) -> None:
-    """Process 1 of 2: its chunks of every step, on its own replica. Writes
-    nothing to stdout; returns when the run ends or the caller is gone (end
-    of file on the pipe), and sends the caller any error it raises."""
-    caller_end.close()  # so that the pipe ends when the caller does
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, 1)
-    os.close(devnull)
+def _shared_rows(shared, params: Sequence[Parameter], plan: list, dtype) -> np.ndarray:
+    """The K x parameter-count gradient rows of a split step, in ``shared``."""
+    return np.frombuffer(shared, dtype).reshape(len(plan), sum(p.size for p in params))
+
+
+def _worker_main(conn, shared, model: TFCNsModel, dataset, cfg: TrainConfig, state: "OptimizerState",
+                 total: int, plan: list) -> None:
+    """Process 1 of 2: its chunks of every step, on its own replica."""
     params = model.parameters()
-    try:
-        for it in range(total):
-            x, y, rng = _prepare_batch(dataset, cfg, it, model.dtype)
-            _step(model, params, x, y, rng, peer)
-            sgd_step(params, state, cfg)
-    except (EOFError, ConnectionResetError):
-        return  # the caller is gone
-    except NonFiniteValue as exc:
-        failure = exc
-    except Exception:
-        failure = WorkerFailed("training worker failed:\n" + traceback.format_exc())
-    else:
-        return
-    with contextlib.suppress(OSError):
-        peer.conn.send(failure)
+    peer = _Peer(params, plan, 1, 2, conn, _shared_rows(shared, params, plan, model.dtype))
+    for it in range(total):
+        x, y, rng = _prepare_batch(dataset, cfg, it, model.dtype)
+        _step(model, params, x, y, rng, peer)
+        sgd_step(params, state, cfg)
 
 
 @contextlib.contextmanager
 def _step_runner(model: TFCNsModel, params: Sequence[Parameter], dataset, cfg: TrainConfig,
                  state: "OptimizerState", total: int, plan: list):
     """The caller's _Peer: process 0 of 2, with a worker process forked now
-    for the whole run, where the plan has more than one chunk, two CPUs are
-    usable and ``fork`` exists; else 0 of 1. No worker outlives the block."""
-    forked = len(plan) > 1 and total > 0 and _usable_cpus() >= 2
-    if forked:
-        # imported only to fork: it adds about 6 ms to a process's start, and
-        # with it loaded, one-chunk training steps measured about 5 % slower
-        import multiprocessing
-        forked = "fork" in multiprocessing.get_all_start_methods()
-    if not forked:
+    for the whole run (see ``processes.forked``), where the plan has more
+    than one chunk, two CPUs are usable and ``fork`` exists; else 0 of 1."""
+    if len(plan) == 1 or total == 0 or _usable_cpus() < 2 or not processes.fork_exists():
         yield _Peer(params, plan)
         return
-    ctx = multiprocessing.get_context("fork")
-    shape = (len(plan), sum(p.size for p in params))
-    shared = mmap.mmap(-1, math.prod(shape) * model.dtype.itemsize)
-    rows = np.frombuffer(shared, model.dtype).reshape(shape)
-    conn, worker_end = ctx.Pipe()
-    worker = ctx.Process(target=_worker_main, daemon=True, name="tfcns-train-worker",
-                         args=(_Peer(params, plan, 1, 2, worker_end, rows), conn, model, dataset, cfg, state, total))
-    worker.start()
-    worker_end.close()
-    finished = False
-    try:
-        yield _Peer(params, plan, 0, 2, conn, rows)
-        finished = True
-    except (EOFError, ConnectionResetError) as exc:
-        worker.join(1.0)
-        raise WorkerFailed(f"training worker exited unexpectedly (exit code {worker.exitcode})") from exc
-    finally:
-        conn.close()
-        if finished:
-            worker.join(10.0)
-        if worker.is_alive():
-            worker.kill()
-        worker.join()
+    nbytes = len(plan) * sum(p.size for p in params) * model.dtype.itemsize
+    args = (model, dataset, cfg, state, total, plan)
+    with processes.forked(_worker_main, args, "training worker", nbytes, 10.0) as (conn, shared):
+        yield _Peer(params, plan, 0, 2, conn, _shared_rows(shared, params, plan, model.dtype))
 
 
 def train(model: TFCNsModel, dataset: Sequence[SegmentationPair], cfg: TrainConfig,

@@ -1,7 +1,11 @@
 """Shared test fixtures: tiny model configs and small synthetic datasets,
 and a check that no test leaves a child process running."""
 
+import contextlib
 import multiprocessing
+import os
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,12 +50,26 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def child_pids() -> list:
+    """Pids of this process's children, however they were started (read from
+    /proc), or [] where /proc cannot tell."""
+    return [int(pid) for path in Path("/proc/self/task").glob("*/children") for pid in path.read_text().split()]
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a live child process (a training worker)."""
+    """Fail a test that leaves a child process running (a training worker or
+    a prediction partner), whether multiprocessing or os.fork started it.
+    multiprocessing's children are killed and joined first, so that it
+    reaps its own; any other child is killed and reaped here."""
     yield
     left = multiprocessing.active_children()
     for child in left:
         child.kill()
         child.join()
-    assert not left, f"the test left child processes running: {left}"
+    others = child_pids()
+    for pid in others:
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert not left and not others, f"the test left child processes running: {left or others}"
