@@ -680,10 +680,10 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
     saved = [] if record is not None else None
     h = feats.shape[2]
     split = _row_split() if rng is None else None
-    halves = _halves(h) if split else [(0, h)]
+    halves, ranks = (_halves(h), split.ranks) if split else ([(0, h)], (0,))
     for i, (w, b) in enumerate(zip(weights, biases)):
         lo = c0 + i * growth
-        for r0, r1 in (halves[r] for r in split.ranks) if split else halves:
+        for r0, r1 in (halves[r] for r in ranks):
             top = min(r0, 1)  # the conv reads one row more each side (a 3x3 kernel): the top one first
             z, ctx = _conv2d_forward(feats[:, :lo, r0 - top:r1 + 1], w.data, None if b is None else b.data)
             y, cdf = _gelu_forward(z[:, :, top:top + r1 - r0])

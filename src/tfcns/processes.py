@@ -60,6 +60,7 @@ def swap(conn, obj):
 
 
 def _child_main(target, conn, caller_end, shared, args, what: str) -> None:
+    """The child's side of ``forked``."""
     caller_end.close()  # so that the pipe ends when the caller does
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)

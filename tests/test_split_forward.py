@@ -169,6 +169,44 @@ def run_script(script: str) -> subprocess.CompletedProcess:
     return run
 
 
+def exchange_rounds(conn, shared, slot: int, rank: int, rounds: list) -> int:
+    """Swap each round's map with the other process; the rounds whose map
+    came out wrong."""
+    partner = processes.RowPartner(rank, conn, shared, slot)
+    wrong = 0
+    for seed, shape, dtype in rounds:
+        full = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+        halves = ad._halves(shape[2])
+        arr = np.full_like(full, np.nan)
+        lo, hi = halves[rank]
+        arr[:, :, lo:hi] = full[:, :, lo:hi]
+        partner.exchange(arr, halves)
+        wrong += not np.array_equal(arr, full)
+    return wrong
+
+
+def partner_rounds(conn, shared, slot: int, rounds: list) -> None:
+    processes.swap(conn, exchange_rounds(conn, shared, slot, 1, rounds))
+
+
+@needs_two_processes
+@pytest.mark.parametrize("slot", [8, 40, 1 << 10])
+def test_maps_far_larger_than_a_slot_swap_whole(slot):
+    """Many bands a map, in float32 and float64, with halves of unequal
+    height, and with slots that hold a row (at most 7 elements) but not
+    always a channel's half (8), or several channels (40): the slots are
+    reused band after band, so a slot written while the other process
+    reads it would show."""
+    rng = np.random.default_rng(0)
+    rounds = [(seed, (int(rng.integers(1, 3)), int(rng.integers(1, 6)), int(rng.integers(1, 12)),
+                      int(rng.integers(1, 8))), (np.float32, np.float64)[seed % 2]) for seed in range(120)]
+    with processes.forked(partner_rounds, (slot, rounds), "test partner", 2 * slot * processes.SLOT_ITEMSIZE,
+                          10.0) as (conn, shared):
+        mine = exchange_rounds(conn, shared, slot, 0, rounds)
+        theirs = processes.swap(conn, None)
+    assert (mine, theirs) == (0, 0)
+
+
 @needs_two_processes
 @pytest.mark.usefixtures("split_every_input")
 class TestPartnerFailures:
