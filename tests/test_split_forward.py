@@ -272,11 +272,11 @@ class TestPartnerFailures:
             assert lines[-1] == "threads after 2"
 
 
-def test_no_split_under_a_tape(split_every_input, forks):
-    """split_rows and dense_block run whole while a tape is active."""
+def test_no_split_under_a_tape():
+    """split_rows and dense_block run whole while a tape is active (halves
+    of this float32 model would give other bits)."""
     model = build(split_config(32, 8))
     with ad.Tape():
         with ad._split_by_rows(ad.RowSplit()):
             taped = model.forward(sample(1, 32, np.float32)).data
     assert np.array_equal(taped, model.forward(sample(1, 32, np.float32)).data)
-    assert forks == []
