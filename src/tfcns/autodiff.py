@@ -577,19 +577,43 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return _out("conv2d", (x, w, b), data, lambda g: _conv2d_backward(g, ctx))
 
 
+class Rows(Tensor):
+    """The rows [start, start + shape[2]) that one process of a forward split
+    over two processes holds of a B x C x ``height`` x W map, whose rows
+    [0, cut) process 0 computes and rows [cut, height) process 1. It holds
+    all the rows it computes; process 0 holds the map's top rows and process
+    1 its bottom ones. A map that every process holds whole is a Tensor."""
+
+    __slots__ = ("start", "height", "cut")
+
+    def __init__(self, data: np.ndarray, start: int, height: int, cut: int):
+        super().__init__(data)
+        self.start, self.height, self.cut = start, height, cut
+
+    @property
+    def halves(self) -> list:
+        return [(0, self.cut), (self.cut, self.height)]
+
+
 class RowSplit:
     """A forward split by rows, as this process computes it: each row-local
-    op computes the rows of halves ``ranks`` of its output (see ``_halves``),
-    and ``exchange`` brings in the rest. Alone, a process computes both
-    halves in turn; ``processes.RowPartner`` computes one half and swaps
-    rows with a partner process. The halves, and so the bits, are the same
-    either way: they depend on the shape alone."""
+    op computes the rows of halves ``ranks`` of its output (see ``_halves``).
+    Alone, a process computes both halves in turn and holds every map whole.
+    ``processes.RowPartner`` computes one half, holds the rows it computes of
+    each map (a ``Rows``) and fetches the rows an op reads that it does not
+    hold from a partner process that computes the other half. The halves,
+    and so the bits, are the same either way: they depend on the shape alone."""
 
     ranks = (0, 1)
 
     def exchange(self, arr: np.ndarray, halves: list) -> None:
-        """Complete ``arr`` (B x C x H x W, a view may do), whose rows of
-        ``halves[r]`` for r in ``ranks`` this process has written."""
+        """Complete ``arr`` (rows of a B x C x H x W map, a view may do), of
+        which process r computes the rows ``halves[r]``: process 0's ``arr``
+        holds the map's top rows and process 1's its bottom rows (a lone
+        process's, every row). This process has written the rows of its
+        halves in it; the rest come from the other process, which holds them,
+        and it sends that process the rows of its half that the other's
+        ``arr`` holds."""
 
 
 @contextlib.contextmanager
@@ -615,32 +639,97 @@ def _row_split() -> Optional[RowSplit]:
     return _STATE.split if _active() is None else None
 
 
-def split_rows(fn: Callable[[Tensor], Tensor], x: Tensor, halo: int = 0, pool: int = 1, up: int = 1) -> Tensor:
-    """``fn(x)`` for a row-local ``fn`` of a B x C x H x W map whose output
+def _map_shape(x: Tensor) -> tuple:
+    """The shape of the map ``x`` holds rows of (of ``x`` itself if whole)."""
+    return (*x.shape[:2], x.height, *x.shape[3:]) if isinstance(x, Rows) else x.shape
+
+
+def _held(split: RowSplit, data: np.ndarray, start: int, height: int, cut: int) -> Tensor:
+    """The map of ``height`` rows cut at ``cut`` of which ``data`` holds the
+    rows from ``start`` on: whole for a lone process."""
+    return Tensor(data) if len(split.ranks) > 1 else Rows(data, start, height, cut)
+
+
+def _fill(split: RowSplit, dst: np.ndarray, x: Tensor, windows: list) -> None:
+    """Write rows ``windows[rank]`` of map ``x`` into ``dst``, in a process
+    with a partner: the rows it holds, then, where a window reaches past its
+    rank's half of ``x``, the others from the partner. Each window covers its
+    rank's half, so that the partner's rows are in the partner's ``dst``."""
+    (rank,) = split.ranks
+    lo, hi = windows[rank]
+    a = max(lo, x.halves[rank][0])
+    b = max(a, min(hi, x.halves[rank][1]))
+    dst[:, :, a - lo:b - lo] = x.data[:, :, a - x.start:b - x.start]
+    if windows != x.halves:
+        split.exchange(dst, x.halves)
+
+
+def _fetch(split: RowSplit, x: Tensor, reads: list) -> tuple[np.ndarray, int]:
+    """(arr, first): the rows of map ``x`` from row ``first`` on that cover
+    ``reads[r]`` and the half of ``x`` of each r in ``split.ranks``. Where
+    ``x`` holds them, ``arr`` is a view of it."""
+    if not isinstance(x, Rows):
+        return x.data, 0
+    windows = [(min(lo, a), max(hi, b)) for (lo, hi), (a, b) in zip(x.halves, reads)]
+    lo, hi = windows[split.ranks[0]]
+    if x.start <= lo and hi <= x.start + x.shape[2]:
+        arr = x.data[:, :, lo - x.start:hi - x.start]
+        if windows != x.halves:  # the rows of the other half that x holds come in again, unchanged
+            split.exchange(arr, x.halves)
+    else:
+        arr = np.empty((*x.shape[:2], hi - lo, x.shape[3]), x.dtype)
+        _fill(split, arr, x, windows)
+    return arr, lo
+
+
+def _view(arr: np.ndarray) -> Tensor:
+    """A tape-free Tensor over ``arr`` itself, which only row-local ops read."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.grad, t.tape_id, t._tape = arr, None, None, None
+    return t
+
+
+def whole_rows(x: Tensor, readers: tuple = (0, 1)) -> Tensor:
+    """Map ``x`` whole in the processes ``readers`` of a forward split over
+    two processes (the others send their rows and get ``x`` back).
+    Elsewhere ``x``."""
+    split = _row_split()
+    if split is None or not isinstance(x, Rows):
+        return x
+    (rank,) = split.ranks
+    arr, _ = _fetch(split, x, [(0, x.height) if r in readers else x.halves[r] for r in (0, 1)])
+    return Tensor(arr) if rank in readers else x
+
+
+def split_rows(fn: Callable[..., Tensor], *maps: Tensor, halo: int = 0, pool: int = 1, up: int = 1) -> Tensor:
+    """``fn(*maps)`` for a row-local ``fn`` of B x C x H x W maps whose output
     has H * up / pool rows, output row r reading input rows r * pool / up
     (rounded down) and ``halo`` rows either side. In a forward split by rows
     it runs ``fn`` on each half of the input rows this process computes (cut
-    at a multiple of ``pool``), plus the halo, given as a view, and the
-    other half's output rows come from ``RowSplit.exchange``. Elsewhere it
-    is ``fn(x)``."""
+    at a multiple of ``pool``), plus the halo, given as views; rows this
+    process does not hold are fetched first. Elsewhere it is ``fn(*maps)``."""
     split = _row_split()
     if split is None:
-        return fn(x)
-    h = x.shape[2]
+        return fn(*maps)
+    h = _map_shape(maps[0])[2]
     halves = _halves(h, pool)
+    reads = [(max(0, lo - halo), min(h, hi + halo)) for lo, hi in halves]
+    srcs = [_fetch(split, m, reads) for m in maps]
+    first = halves[split.ranks[0]][0] * up // pool
     out = None
-    for lo, hi in (halves[r] for r in split.ranks):
-        a = max(0, lo - halo)
-        rows = Tensor.__new__(Tensor)  # a view, which only fn's row-local ops read
-        rows.data, rows.grad, rows.tape_id, rows._tape = x.data[:, :, a:hi + halo], None, None, None
-        part = fn(rows).data
-        if out is None:
-            out = np.empty((*part.shape[:2], h * up // pool, part.shape[3]), part.dtype)
-        top = (lo - a) * up // pool
-        out[:, :, lo * up // pool:hi * up // pool] = part[:, :, top:top + (hi - lo) * up // pool]
+    for r in split.ranks:
+        (lo, hi), (a, b) = halves[r], reads[r]
+        part = fn(*(_view(arr[:, :, a - s:b - s]) for arr, s in srcs)).data
+        top, rows = (lo - a) * up // pool, (hi - lo) * up // pool
+        if len(split.ranks) == 1 and top == 0 and part.shape[2] == rows:
+            out = part  # its own rows and no halo: no copy
+        else:
+            if out is None:
+                last = halves[split.ranks[-1]][1] * up // pool
+                out = np.empty((*part.shape[:2], last - first, part.shape[3]), part.dtype)
+            out[:, :, lo * up // pool - first:hi * up // pool - first] = part[:, :, top:top + rows]
         del part
-    split.exchange(out, [(lo * up // pool, hi * up // pool) for lo, hi in halves])
-    return Tensor(out)
+    return _held(split, out, first, h * up // pool, halves[0][1] * up // pool)
 
 
 def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
@@ -663,8 +752,10 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
     In a forward split by rows (see split_rows) without dropout, each layer
     computes its output by halves of the rows, each half's conv reading one
     row of the other, and the layer's slot is complete (``RowSplit.exchange``)
-    before the next layer reads it."""
-    shapes = [t.shape for t in inputs]
+    before the next layer reads it. With a partner, F holds this process's
+    half and one row beyond it each side, and the inputs' rows there that it
+    does not hold are fetched as they are copied in."""
+    shapes = [_map_shape(t) for t in inputs]
     if any(len(s) != 4 or s[0] != shapes[0][0] or s[2:] != shapes[0][2:] for s in shapes):
         raise ShapeMismatch(f"dense_block inputs differ in batch or map size: {shapes}")
     sizes = [s[1] for s in shapes]
@@ -673,22 +764,28 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
     if any(w.shape[0] != growth or w.shape[2:] != (3, 3) for w in weights):
         raise ShapeMismatch(f"dense_block layer weights {[w.shape for w in weights]} are not g x C x 3 x 3")
     record = _recorder((*inputs, *weights, *biases))
-    feats = np.empty((shapes[0][0], c0 + len(weights) * growth, *shapes[0][2:]),
-                     np.result_type(*(t.data for t in inputs)))
-    np.concatenate([t.data for t in inputs], axis=1, out=feats[:, :c0])
-    inputs.clear()
-    saved = [] if record is not None else None
-    h = feats.shape[2]
+    h = shapes[0][2]
     split = _row_split() if rng is None else None
     halves, ranks = (_halves(h), split.ranks) if split else ([(0, h)], (0,))
+    windows = [(max(0, lo - 1), min(h, hi + 1)) for lo, hi in halves]
+    w0, w1 = windows[ranks[0]][0], windows[ranks[-1]][1]
+    feats = np.empty((shapes[0][0], c0 + len(weights) * growth, w1 - w0, shapes[0][3]),
+                     np.result_type(*(t.data for t in inputs)))
+    if split and len(ranks) == 1:
+        for t, c in zip(inputs, np.cumsum([0, *sizes])):
+            _fill(split, feats[:, c:c + t.shape[1]], t, windows)
+    else:
+        np.concatenate([t.data for t in inputs], axis=1, out=feats[:, :c0])
+    inputs.clear()
+    saved = [] if record is not None else None
     for i, (w, b) in enumerate(zip(weights, biases)):
         lo = c0 + i * growth
         for r0, r1 in (halves[r] for r in ranks):
             top = min(r0, 1)  # the conv reads one row more each side (a 3x3 kernel): the top one first
-            z, ctx = _conv2d_forward(feats[:, :lo, r0 - top:r1 + 1], w.data, None if b is None else b.data)
+            z, ctx = _conv2d_forward(feats[:, :lo, r0 - top - w0:r1 + 1 - w0], w.data, None if b is None else b.data)
             y, cdf = _gelu_forward(z[:, :, top:top + r1 - r0])
             keep = _dropout_keep(y, dropout_p, rng)
-            feats[:, lo:lo + growth, r0:r1] = y if keep is None else y * _dropout_scale(keep, dropout_p, y.dtype)
+            feats[:, lo:lo + growth, r0 - w0:r1 - w0] = y if keep is None else y * _dropout_scale(keep, dropout_p, y.dtype)
             if saved is not None:
                 saved.append((ctx, _gelu_slope(z, cdf), keep))
             del z, cdf, y, keep  # this layer's working arrays go before the next conv
@@ -708,7 +805,8 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
             _, gws[i], gbs[i] = _conv2d_backward(gz, ctx, g[:, :lo])
         return (*np.split(g[:, :c0], np.cumsum(sizes)[:-1], axis=1), *gws, *gbs)
 
-    return _wrap_out("dense_block", record, feats, backward, writes_grad=True)
+    out = _wrap_out("dense_block", record, feats, backward, writes_grad=True)
+    return _held(split, feats, w0, h, halves[0][1]) if split else out
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:

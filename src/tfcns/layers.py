@@ -9,6 +9,7 @@ with dropout take an optional generator and run dropout only when given one.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -234,6 +235,14 @@ class RLTransformerEncoder(Module):
         return self.final_norm(z)
 
 
+# OpenBLAS computes a float32 GEMM of fewer multiply-adds than this with its
+# small-matrix kernels, whose bits differ from its other kernels' (seen at
+# 224^2 for a gate's 4-output branch conv over halves of 28^2 and 14^2 maps).
+# A gate whose branch conv would be that small on half the rows runs it
+# whole, so that a split forward keeps the whole forward's bits.
+_SMALL_GEMM = 100 ** 3
+
+
 class _BranchGate(Module):
     """Shared machinery of the skip-connection gates: N bias-free 1x1-conv branches of
     K kernels each, reduced over their kernels to one map per branch and normalized per
@@ -248,6 +257,12 @@ class _BranchGate(Module):
     pooling them instead would feed the linear layer a constant zero.
     Branch convs carry no bias for the same reason (a constant map offset
     cancels under the centering).
+
+    In a forward split by rows (see ``ad.split_rows``) the branch maps are
+    computed by halves (on the map gathered whole where that GEMM would be
+    small, see _SMALL_GEMM) and then held whole, since the normalization
+    spans H x W, and the gating products run by halves; ``last_gate`` is
+    whole.
     """
 
     eps = 1e-5
@@ -278,7 +293,10 @@ class _BranchGate(Module):
         n = self.n_branches
         w = ad.concat([conv.weight for conv in self.branches], axis=0)
         w = ad.reduce_mean(ad.reshape(w, (n, self.branch_kernels, c, 1, 1)), axis=1)
-        m = ad.conv2d(x, w)
+        if n * math.prod(ad._map_shape(x)[1:]) < 2 * _SMALL_GEMM:
+            m = ad.conv2d(ad.whole_rows(x), w)
+        else:
+            m = ad.whole_rows(ad.split_rows(lambda rows: ad.conv2d(rows, w), x))  # normalize spans H x W
         normed = ad.normalize(ad.reshape(m, (b, n, -1)), self.eps)
         return ad.reshape(normed, m.shape), ad.reduce_mean(m, axis=(2, 3))
 
@@ -301,7 +319,8 @@ class CLAB(_BranchGate):
         spatial = self.gate_conv(xm)
         channel = self._channel_logits(means)
         self._factors = (spatial.data, channel.data)
-        return ad.mul(x, ad.sigmoid(ad.add(spatial, channel)))
+        return ad.split_rows(lambda rows, spatial_rows: ad.mul(rows, ad.sigmoid(ad.add(spatial_rows, channel))),
+                             x, spatial)
 
 
 class CUABLike(_BranchGate):
@@ -315,8 +334,8 @@ class CUABLike(_BranchGate):
     def forward(self, x: Tensor) -> Tensor:
         xm1, _ = self._branch_features(x)
         spatial_gate = ad.sigmoid(self.gate_conv(xm1))
-        x1 = ad.mul(x, spatial_gate)
+        x1 = ad.split_rows(ad.mul, x, spatial_gate)
         _, means = self._branch_features(x1)
         channel_gate = ad.sigmoid(self._channel_logits(means))
         self._factors = (spatial_gate.data, channel_gate.data)
-        return ad.mul(x1, channel_gate)
+        return ad.split_rows(lambda rows: ad.mul(rows, channel_gate), x1)

@@ -223,7 +223,7 @@ class TFCNsModel(Module):
 
     def forward(self, x, rng: Optional[np.random.Generator] = None) -> Tensor:
         """B x num_classes x H x W logits; dropout runs when given a generator."""
-        return self.head(self.features(x, rng))
+        return ad.split_rows(self.head, self.features(x, rng))
 
     def features(self, x, rng: Optional[np.random.Generator] = None) -> Tensor:
         """The last decoder block's output, the feature maps the head reads."""
@@ -235,8 +235,10 @@ class TFCNsModel(Module):
 
         # A dense block empties its input list once copied, so no name here
         # keeps a block's inputs alive during its call.
-        # The stem and the transitions are row-local: in a forward split by
-        # rows (see predict) each process computes half of their rows.
+        # The stem, the transitions, the dense blocks, the skip gates' tails
+        # and the head are row-local: in a forward split by rows (see
+        # _tape_free) each process computes half of their rows. The patch
+        # embedding reads the whole map.
         y = ad.split_rows(self.stem, x, halo=1)
         skips = []
         for block, down in zip(self.enc_blocks, self.trans_down):
@@ -246,7 +248,7 @@ class TFCNsModel(Module):
             y = ad.split_rows(down, y, pool=2)
 
         hf = self.bottleneck_size
-        tokens = self.patch_embed(y)
+        tokens = self.patch_embed(ad.whole_rows(y))
         tokens = self.encoder(tokens, rng)
         y = tokens_to_map(tokens, hf, hf)
 
@@ -318,17 +320,19 @@ _MIN_SPLIT_PIXELS = 96 * 96
 
 def _partner_main(conn, shared, fn, x: Tensor, slot: int) -> None:
     with ad._split_by_rows(processes.RowPartner(1, conn, shared, slot)):
-        fn(x)
+        ad.whole_rows(fn(x), (0,))
 
 
 def _tape_free(model: TFCNsModel, fn, x) -> Tensor:
     """``fn(x)`` (the model's forward or features) at one OpenBLAS thread.
-    An input of at least _MIN_SPLIT_PIXELS pixels runs split by rows: the
-    stem, each dense-block layer and each transition compute their output
-    by halves of the rows (see ``autodiff.split_rows``). Where
-    ``processes.may_fork_partner()``, a partner process forked for the call
-    runs the same forward and computes the second halves; else this process
-    computes both in turn, with the same bits."""
+    An input of at least _MIN_SPLIT_PIXELS pixels runs split by rows: each
+    row-local op computes its output by halves of the rows (see
+    ``autodiff.split_rows``). Where ``processes.may_fork_partner()``, a
+    partner process forked for the call runs the same forward, computes the
+    second halves and sends its rows of the result at the end; each process
+    holds only the rows it computes of each map, and fetches the rows an op
+    reads that it does not hold. Else this process computes both halves in
+    turn, with the same bits."""
     x = model._to_tensor(x)
     pixels = x.shape[0] * x.shape[2] * x.shape[3] if x.ndim == 4 else 0  # fn raises ShapeMismatch for other ranks
     with _one_blas_thread():  # entered first, so that the partner inherits the count
@@ -341,7 +345,7 @@ def _tape_free(model: TFCNsModel, fn, x) -> Tensor:
         with processes.forked(_partner_main, (fn, x, slot), "prediction partner",
                               2 * slot * processes.SLOT_ITEMSIZE, 0.0) as (conn, shared):
             with ad._split_by_rows(processes.RowPartner(0, conn, shared, slot)):
-                return fn(x)
+                return ad.whole_rows(fn(x), (0,))
 
 
 def predict(model: TFCNsModel, x) -> np.ndarray:

@@ -115,12 +115,15 @@ def forked(target, args: tuple, what: str, shared_bytes: int, join_s: float):
 
 class RowPartner(RowSplit):
     """Process ``rank`` (0, the caller, or 1, the partner) of a forward
-    split by rows over two processes: each computes its half, and
-    ``exchange`` sends its rows and receives the other's, band by band,
-    through two slots of ``slot`` elements in ``shared``, with one pipe
-    token per band each way. Band k goes out through slot (rank + k) % 2
-    and comes in through the other, so a process writes only the slot it
-    read from last, after reading it: no slot is written while it is read."""
+    split by rows over two processes: each computes its half of the rows.
+    ``exchange`` first tells the other process how many rows its ``arr``
+    holds (one pipe token each way), then sends the rows of its half that the
+    other's ``arr`` holds and receives the rows of the other's half that its
+    own holds, band by band, through two slots of ``slot`` elements in
+    ``shared``, with one pipe token per band each way. Band k goes out
+    through slot (rank + k) % 2 and comes in through the other, so a process
+    writes only the slot it read from last, after reading it: no slot is
+    written while it is read."""
 
     def __init__(self, rank: int, conn, shared, slot: int):
         self.ranks, self._conn, self._shared, self._slot = (rank,), conn, shared, slot
@@ -131,7 +134,17 @@ class RowPartner(RowSplit):
 
     def exchange(self, arr: np.ndarray, halves: list) -> None:
         (rank,) = self.ranks
-        own, other = halves[rank], halves[1 - rank]
+        h = halves[1][1]
+        counts = [arr.shape[2]] * 2
+        counts[1 - rank] = swap(self._conn, arr.shape[2])
+        windows = [(0, counts[0]), (h - counts[1], h)]
+        start = windows[rank][0]
+
+        def within(half: tuple, window: tuple) -> tuple:  # the half's rows in the window, from start
+            lo = max(half[0], window[0])
+            return lo - start, max(lo, min(half[1], window[1])) - start
+
+        own, other = within(halves[rank], windows[1 - rank]), within(halves[1 - rank], windows[rank])
         bsz, c, _, w = arr.shape
         rows = max(own[1] - own[0], other[1] - other[0])
         if rows * w <= self._slot:  # bands of whole channels

@@ -1,6 +1,7 @@
 """A tape-free forward split by rows (model._tape_free): the same bits over
 two processes as in one, and no partner process outlives a call."""
 
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -280,3 +282,86 @@ def test_no_split_under_a_tape():
         with ad._split_by_rows(ad.RowSplit()):
             taped = model.forward(sample(1, 32, np.float32)).data
     assert np.array_equal(taped, model.forward(sample(1, 32, np.float32)).data)
+
+
+@needs_two_processes
+@pytest.mark.usefixtures("split_every_input")
+class TestOwnRowsOnly:
+    """With a partner, each process holds only its own rows of each map and
+    fetches the rows an op reads that it does not hold: the bits stay those
+    of one process computing both halves."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_a_transition_that_gives_one_half_no_rows(self, batch, forks, monkeypatch):
+        """At P=32 on 32^2 the deepest transition-down cuts its 2 input rows
+        at row 0 (a multiple of its pooling), where the dense block before it
+        cut them at row 1: the caller computes none of the 1x1 bottleneck,
+        and the first decoder block fetches both rows of its upsampled map."""
+        cfg = dataclasses.replace(split_config(32, 16), patch_size=32, layers_per_block=(2, 1, 2, 1, 1))
+        model = build(cfg)
+        x = sample(batch, 32, np.float32)
+        alone = logits(model, x, False, monkeypatch)
+        split = logits(model, x, True, monkeypatch)
+        assert len(forks) == 1 and split.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("gate", ["cuab_like", "none"])
+    def test_other_skip_gates(self, gate, forks, monkeypatch):
+        """CUABLike recomputes its branch maps from rows it has already gated."""
+        model = build(dataclasses.replace(split_config(64, 16), skip_attention=gate))
+        x = sample(2, 64, np.float32)
+        alone = logits(model, x, False, monkeypatch)
+        split = logits(model, x, True, monkeypatch)
+        assert len(forks) == 1 and split.tobytes() == alone.tobytes()
+
+    def test_a_paper_size_class_activation_map_gathers_the_whole_features(self, forks, monkeypatch):
+        model = build(ModelConfig(num_classes=9, seed=1))
+        x = sample(1, 224, np.float32)
+        with monkeypatch.context() as m:
+            m.setattr(processes, "may_fork_partner", lambda: False)
+            alone = class_activation_map(model, x, 4)
+        assert forks == []
+        assert np.array_equal(class_activation_map(model, x, 4), alone)
+        assert len(forks) == 1
+
+
+class CountingPartner(processes.RowPartner):
+    """Records the size of every slot view: each band writes its outgoing
+    rows into one slot, then reads the incoming rows from the other."""
+
+    sizes: list = []
+
+    def _slot_view(self, k: int, dtype, size: int) -> np.ndarray:
+        self.sizes.append(size)
+        return super()._slot_view(k, dtype, size)
+
+
+@needs_two_processes
+class TestPartneredPaperForward:
+    """A paper-default 224^2 float32 forward (P=16, 9 classes) with a partner."""
+
+    def test_the_callers_peak_is_about_half_the_whole_forwards(self, forks):
+        """The whole forward's peak is pinned under 72e6 (TestDenseBlockMemory);
+        split, the caller measured 37.7e6: the last decoder block's copy of
+        its two inputs, each half the size, into a buffer of half the rows
+        plus one row each side."""
+        model = build(ModelConfig(num_classes=9))
+        x = np.random.default_rng(1234).standard_normal((1, 1, 224, 224)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model_mod._tape_free(model, model.forward, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == 1
+        assert peak < 42e6
+
+    def test_only_halo_rows_and_gathers_move(self, monkeypatch):
+        """Measured 1.68 MiB out and 2.54 MiB in (the partner also sends its
+        half of the logits), against 29.1 MiB each way when each process
+        swapped in the other's half of every map."""
+        monkeypatch.setattr(processes, "RowPartner", CountingPartner)
+        monkeypatch.setattr(CountingPartner, "sizes", [])
+        model = build(ModelConfig(num_classes=9))
+        predict(model, sample(1, 224, np.float32))
+        sent, received = sum(CountingPartner.sizes[0::2]), sum(CountingPartner.sizes[1::2])
+        assert 0 < sent < 2**19 and 0 < received < 3 * 2**18  # float32 elements: 2 and 3 MiB
