@@ -579,10 +579,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 class Rows(Tensor):
     """The rows [start, start + shape[2]) that one process of a forward split
-    over two processes holds of a B x C x ``height`` x W map, whose rows
-    [0, cut) process 0 computes and rows [cut, height) process 1. It holds
-    all the rows it computes; process 0 holds the map's top rows and process
-    1 its bottom ones. A map that every process holds whole is a Tensor."""
+    by rows holds of a B x C x ``height`` x W map, whose rows [0, cut)
+    process 0 computes and rows [cut, height) process 1. It holds all the
+    rows it computes: a lone process every row, process 0 of two the map's
+    top rows and process 1 its bottom ones. A map that every process holds
+    whole is a Tensor."""
 
     __slots__ = ("start", "height", "cut")
 
@@ -597,23 +598,23 @@ class Rows(Tensor):
 
 class RowSplit:
     """A forward split by rows, as this process computes it: each row-local
-    op computes the rows of halves ``ranks`` of its output (see ``_halves``).
-    Alone, a process computes both halves in turn and holds every map whole.
+    op computes the rows of halves ``ranks`` of its output (see ``_halves``)
+    and holds them as a ``Rows``. Alone, a process computes both halves in
+    turn and so holds every row of each such map.
     ``processes.RowPartner`` computes one half, holds the rows it computes of
-    each map (a ``Rows``) and fetches the rows an op reads that it does not
-    hold from a partner process that computes the other half. The halves,
-    and so the bits, are the same either way: they depend on the shape alone."""
+    each map and fetches the rows an op reads that it does not hold from a
+    partner process that computes the other half. The halves, and so the
+    bits, are the same either way: they depend on the shape alone."""
 
     ranks = (0, 1)
 
-    def exchange(self, arr: np.ndarray, halves: list) -> None:
-        """Complete ``arr`` (rows of a B x C x H x W map, a view may do), of
-        which process r computes the rows ``halves[r]``: process 0's ``arr``
-        holds the map's top rows and process 1's its bottom rows (a lone
-        process's, every row). This process has written the rows of its
-        halves in it; the rest come from the other process, which holds them,
-        and it sends that process the rows of its half that the other's
-        ``arr`` holds."""
+    def exchange(self, arr: np.ndarray, halves: list, windows: list) -> None:
+        """Complete ``arr`` (a view may do): rows ``windows[r]`` of a
+        B x C x H x W map in each process r, which computes the rows
+        ``halves[r]`` (a lone process's window is every row). This process
+        has written the rows of its halves in it; the rest come from the
+        other process, which holds them, and it sends that process the rows
+        of its half in the other's window."""
 
 
 @contextlib.contextmanager
@@ -644,42 +645,25 @@ def _map_shape(x: Tensor) -> tuple:
     return (*x.shape[:2], x.height, *x.shape[3:]) if isinstance(x, Rows) else x.shape
 
 
-def _held(split: RowSplit, data: np.ndarray, start: int, height: int, cut: int) -> Tensor:
-    """The map of ``height`` rows cut at ``cut`` of which ``data`` holds the
-    rows from ``start`` on: whole for a lone process."""
-    return Tensor(data) if len(split.ranks) > 1 else Rows(data, start, height, cut)
-
-
-def _fill(split: RowSplit, dst: np.ndarray, x: Tensor, windows: list) -> None:
-    """Write rows ``windows[rank]`` of map ``x`` into ``dst``, in a process
-    with a partner: the rows it holds, then, where a window reaches past its
-    rank's half of ``x``, the others from the partner. Each window covers its
-    rank's half, so that the partner's rows are in the partner's ``dst``."""
-    (rank,) = split.ranks
-    lo, hi = windows[rank]
-    a = max(lo, x.halves[rank][0])
-    b = max(a, min(hi, x.halves[rank][1]))
-    dst[:, :, a - lo:b - lo] = x.data[:, :, a - x.start:b - x.start]
-    if windows != x.halves:
-        split.exchange(dst, x.halves)
-
-
-def _fetch(split: RowSplit, x: Tensor, reads: list) -> tuple[np.ndarray, int]:
+def _fetch(split: RowSplit, x: Tensor, reads: list, dst: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
     """(arr, first): the rows of map ``x`` from row ``first`` on that cover
-    ``reads[r]`` and the half of ``x`` of each r in ``split.ranks``. Where
-    ``x`` holds them, ``arr`` is a view of it."""
-    if not isinstance(x, Rows):
+    ``reads[r]`` and the half of ``x`` of each r in ``split.ranks``: a view
+    of ``x`` where it holds them and no ``dst`` (of exactly those rows) is
+    given, else ``dst`` or a new array, into which this process's halves are
+    copied and the other process's rows come (``RowSplit.exchange``)."""
+    if not isinstance(x, Rows):  # a map every process holds whole
         return x.data, 0
     windows = [(min(lo, a), max(hi, b)) for (lo, hi), (a, b) in zip(x.halves, reads)]
-    lo, hi = windows[split.ranks[0]]
-    if x.start <= lo and hi <= x.start + x.shape[2]:
-        arr = x.data[:, :, lo - x.start:hi - x.start]
-        if windows != x.halves:  # the rows of the other half that x holds come in again, unchanged
-            split.exchange(arr, x.halves)
+    lo, hi = windows[split.ranks[0]][0], windows[split.ranks[-1]][1]
+    if dst is None and x.start <= lo and hi <= x.start + x.shape[2]:
+        dst = x.data[:, :, lo - x.start:hi - x.start]  # rows of the other half held here come in again, unchanged
     else:
-        arr = np.empty((*x.shape[:2], hi - lo, x.shape[3]), x.dtype)
-        _fill(split, arr, x, windows)
-    return arr, lo
+        if dst is None:
+            dst = np.empty((*x.shape[:2], hi - lo, x.shape[3]), x.dtype)
+        for a, b in (x.halves[r] for r in split.ranks):
+            dst[:, :, a - lo:b - lo] = x.data[:, :, a - x.start:b - x.start]
+    split.exchange(dst, x.halves, windows)
+    return dst, lo
 
 
 def _view(arr: np.ndarray) -> Tensor:
@@ -696,9 +680,8 @@ def whole_rows(x: Tensor, readers: tuple = (0, 1)) -> Tensor:
     split = _row_split()
     if split is None or not isinstance(x, Rows):
         return x
-    (rank,) = split.ranks
     arr, _ = _fetch(split, x, [(0, x.height) if r in readers else x.halves[r] for r in (0, 1)])
-    return Tensor(arr) if rank in readers else x
+    return Tensor(arr) if any(r in readers for r in split.ranks) else x
 
 
 def split_rows(fn: Callable[..., Tensor], *maps: Tensor, halo: int = 0, pool: int = 1, up: int = 1) -> Tensor:
@@ -729,7 +712,7 @@ def split_rows(fn: Callable[..., Tensor], *maps: Tensor, halo: int = 0, pool: in
                 out = np.empty((*part.shape[:2], last - first, part.shape[3]), part.dtype)
             out[:, :, lo * up // pool - first:hi * up // pool - first] = part[:, :, top:top + rows]
         del part
-    return _held(split, out, first, h * up // pool, halves[0][1] * up // pool)
+    return Rows(out, first, h * up // pool, halves[0][1] * up // pool)
 
 
 def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
@@ -752,9 +735,9 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
     In a forward split by rows (see split_rows) without dropout, each layer
     computes its output by halves of the rows, each half's conv reading one
     row of the other, and the layer's slot is complete (``RowSplit.exchange``)
-    before the next layer reads it. With a partner, F holds this process's
-    half and one row beyond it each side, and the inputs' rows there that it
-    does not hold are fetched as they are copied in."""
+    before the next layer reads it. F holds the rows this process computes
+    and one row beyond them each side, fetched as the inputs are copied in
+    (``_fetch``), and the block returns it as a ``Rows``."""
     shapes = [_map_shape(t) for t in inputs]
     if any(len(s) != 4 or s[0] != shapes[0][0] or s[2:] != shapes[0][2:] for s in shapes):
         raise ShapeMismatch(f"dense_block inputs differ in batch or map size: {shapes}")
@@ -771,9 +754,9 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
     w0, w1 = windows[ranks[0]][0], windows[ranks[-1]][1]
     feats = np.empty((shapes[0][0], c0 + len(weights) * growth, w1 - w0, shapes[0][3]),
                      np.result_type(*(t.data for t in inputs)))
-    if split and len(ranks) == 1:
+    if split:
         for t, c in zip(inputs, np.cumsum([0, *sizes])):
-            _fill(split, feats[:, c:c + t.shape[1]], t, windows)
+            _fetch(split, t, windows, feats[:, c:c + t.shape[1]])
     else:
         np.concatenate([t.data for t in inputs], axis=1, out=feats[:, :c0])
     inputs.clear()
@@ -790,7 +773,7 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
                 saved.append((ctx, _gelu_slope(z, cdf), keep))
             del z, cdf, y, keep  # this layer's working arrays go before the next conv
         if split:
-            split.exchange(feats[:, lo:lo + growth], halves)
+            split.exchange(feats[:, lo:lo + growth], halves, windows)
 
     def backward(g):
         gws, gbs = [None] * len(saved), [None] * len(saved)
@@ -806,7 +789,7 @@ def dense_block(inputs: list, weights: Sequence[Tensor], biases: Sequence[Option
         return (*np.split(g[:, :c0], np.cumsum(sizes)[:-1], axis=1), *gws, *gbs)
 
     out = _wrap_out("dense_block", record, feats, backward, writes_grad=True)
-    return _held(split, feats, w0, h, halves[0][1]) if split else out
+    return Rows(feats, w0, h, halves[0][1]) if split else out
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:

@@ -340,7 +340,7 @@ def _tape_free(model: TFCNsModel, fn, x) -> Tensor:
             return fn(x)
         if not processes.may_fork_partner():
             with ad._split_by_rows(ad.RowSplit()):
-                return fn(x)
+                return ad.whole_rows(fn(x), (0,))
         slot = max(ad._BAND_ELEMS, x.shape[3])  # a band holds at least one row
         with processes.forked(_partner_main, (fn, x, slot), "prediction partner",
                               2 * slot * processes.SLOT_ITEMSIZE, 0.0) as (conn, shared):

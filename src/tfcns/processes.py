@@ -116,14 +116,12 @@ def forked(target, args: tuple, what: str, shared_bytes: int, join_s: float):
 class RowPartner(RowSplit):
     """Process ``rank`` (0, the caller, or 1, the partner) of a forward
     split by rows over two processes: each computes its half of the rows.
-    ``exchange`` first tells the other process how many rows its ``arr``
-    holds (one pipe token each way), then sends the rows of its half that the
-    other's ``arr`` holds and receives the rows of the other's half that its
-    own holds, band by band, through two slots of ``slot`` elements in
-    ``shared``, with one pipe token per band each way. Band k goes out
-    through slot (rank + k) % 2 and comes in through the other, so a process
-    writes only the slot it read from last, after reading it: no slot is
-    written while it is read."""
+    ``exchange`` sends the rows of its half in the other's window and
+    receives the rows of the other's half in its own, band by band, through
+    two slots of ``slot`` elements in ``shared``, with one pipe token per
+    band each way. Band k goes out through slot (rank + k) % 2 and comes in
+    through the other, so a process writes only the slot it read from last,
+    after reading it: no slot is written while it is read."""
 
     def __init__(self, rank: int, conn, shared, slot: int):
         self.ranks, self._conn, self._shared, self._slot = (rank,), conn, shared, slot
@@ -132,12 +130,8 @@ class RowPartner(RowSplit):
     def _slot_view(self, k: int, dtype, size: int) -> np.ndarray:
         return np.frombuffer(self._shared, dtype, size, k * self._slot * SLOT_ITEMSIZE)
 
-    def exchange(self, arr: np.ndarray, halves: list) -> None:
+    def exchange(self, arr: np.ndarray, halves: list, windows: list) -> None:
         (rank,) = self.ranks
-        h = halves[1][1]
-        counts = [arr.shape[2]] * 2
-        counts[1 - rank] = swap(self._conn, arr.shape[2])
-        windows = [(0, counts[0]), (h - counts[1], h)]
         start = windows[rank][0]
 
         def within(half: tuple, window: tuple) -> tuple:  # the half's rows in the window, from start

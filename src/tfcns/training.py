@@ -354,6 +354,7 @@ def _worker_main(conn, shared, model: TFCNsModel, dataset, cfg: TrainConfig, sta
         x, y, rng = _prepare_batch(dataset, cfg, it, model.dtype)
         _step(model, params, x, y, rng, peer)
         sgd_step(params, state, cfg)
+    conn.recv()  # the caller's end of file: the worker lives as long as the run
 
 
 @contextlib.contextmanager

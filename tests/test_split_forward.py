@@ -171,40 +171,58 @@ def run_script(script: str) -> subprocess.CompletedProcess:
     return run
 
 
-def exchange_rounds(conn, shared, slot: int, rank: int, rounds: list) -> int:
-    """Swap each round's map with the other process; the rounds whose map
-    came out wrong."""
+# Each process's window of a map of h rows cut into halves: the rows its arr holds.
+WINDOWS = {
+    "whole": lambda h, halves: [(0, h)] * 2,
+    # a dense block: each process's half and one row beyond it each side
+    "halo": lambda h, halves: [(max(0, lo - 1), min(h, hi + 1)) for lo, hi in halves],
+    # whole_rows(x, (0,)): process 0 gathers the map, process 1 keeps its half
+    "gather": lambda h, halves: [(0, h), halves[1]],
+    # a transition-down (pool 2) after a dense block: at 14 rows (P=32) it
+    # cuts at row 6, the block at row 7, so process 1 reads from row 6 on
+    "past_a_cut": lambda h, halves: [(min(lo, a), max(hi, b))
+                                     for (lo, hi), (a, b) in zip(halves, ad._halves(h, 2))],
+}
+
+
+def exchange_rounds(conn, shared, slot: int, rank: int, rounds: list, windows: str) -> int:
+    """Swap each round's map with the other process, each holding the rows
+    of its window; the rounds whose rows came out wrong."""
     partner = processes.RowPartner(rank, conn, shared, slot)
     wrong = 0
     for seed, shape, dtype in rounds:
         full = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
         halves = ad._halves(shape[2])
-        arr = np.full_like(full, np.nan)
+        held = WINDOWS[windows](shape[2], halves)
+        start, end = held[rank]
+        arr = np.full_like(full[:, :, start:end], np.nan)
         lo, hi = halves[rank]
-        arr[:, :, lo:hi] = full[:, :, lo:hi]
-        partner.exchange(arr, halves)
-        wrong += not np.array_equal(arr, full)
+        arr[:, :, lo - start:hi - start] = full[:, :, lo:hi]
+        partner.exchange(arr, halves, held)
+        wrong += not np.array_equal(arr, full[:, :, start:end])
     return wrong
 
 
-def partner_rounds(conn, shared, slot: int, rounds: list) -> None:
-    processes.swap(conn, exchange_rounds(conn, shared, slot, 1, rounds))
+def partner_rounds(conn, shared, slot: int, rounds: list, windows: str) -> None:
+    processes.swap(conn, exchange_rounds(conn, shared, slot, 1, rounds, windows))
 
 
 @needs_two_processes
+@pytest.mark.parametrize("windows", list(WINDOWS))
 @pytest.mark.parametrize("slot", [8, 40, 1 << 10])
-def test_maps_far_larger_than_a_slot_swap_whole(slot):
+def test_maps_far_larger_than_a_slot_swap_whole(slot, windows):
     """Many bands a map, in float32 and float64, with halves of unequal
     height, and with slots that hold a row (at most 7 elements) but not
     always a channel's half (8), or several channels (40): the slots are
     reused band after band, so a slot written while the other process
-    reads it would show."""
+    reads it would show. Each process's arr holds the rows of its window:
+    the whole map, or windows that differ between the two processes."""
     rng = np.random.default_rng(0)
     rounds = [(seed, (int(rng.integers(1, 3)), int(rng.integers(1, 6)), int(rng.integers(1, 12)),
                       int(rng.integers(1, 8))), (np.float32, np.float64)[seed % 2]) for seed in range(120)]
-    with processes.forked(partner_rounds, (slot, rounds), "test partner", 2 * slot * processes.SLOT_ITEMSIZE,
-                          10.0) as (conn, shared):
-        mine = exchange_rounds(conn, shared, slot, 0, rounds)
+    with processes.forked(partner_rounds, (slot, rounds, windows), "test partner",
+                          2 * slot * processes.SLOT_ITEMSIZE, 10.0) as (conn, shared):
+        mine = exchange_rounds(conn, shared, slot, 0, rounds, windows)
         theirs = processes.swap(conn, None)
     assert (mine, theirs) == (0, 0)
 
@@ -217,11 +235,11 @@ class TestPartnerFailures:
         exchange = processes.RowPartner.exchange
         calls = []
 
-        def dying(self, arr, halves):
+        def dying(self, arr, halves, windows):
             calls.append(1)
             if os.getpid() != caller and len(calls) == 3:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return exchange(self, arr, halves)
+            return exchange(self, arr, halves, windows)
 
         monkeypatch.setattr(processes.RowPartner, "exchange", dying)
         model = build(split_config(32, 8))
@@ -365,3 +383,14 @@ class TestPartneredPaperForward:
         predict(model, sample(1, 224, np.float32))
         sent, received = sum(CountingPartner.sizes[0::2]), sum(CountingPartner.sizes[1::2])
         assert 0 < sent < 2**19 and 0 < received < 3 * 2**18  # float32 elements: 2 and 3 MiB
+
+    def test_one_pipe_token_per_band(self, monkeypatch):
+        """The caller's only pipe calls in a forward are the bands it moves,
+        each of which views a slot twice: 62, where asking the partner how
+        many rows each exchange's array holds made 124."""
+        monkeypatch.setattr(processes, "RowPartner", CountingPartner)
+        monkeypatch.setattr(CountingPartner, "sizes", [])
+        swap, swaps = processes.swap, []
+        monkeypatch.setattr(processes, "swap", lambda conn, obj: swaps.append(1) or swap(conn, obj))
+        predict(build(ModelConfig(num_classes=9)), sample(1, 224, np.float32))
+        assert len(swaps) == len(CountingPartner.sizes) // 2 == 62

@@ -476,6 +476,19 @@ class TestChunkedStep:
             runs.append(((out / "training.log").read_bytes(), [p.data.tobytes() for p in model.parameters()]))
         assert runs[0] == runs[1]
 
+    def test_the_worker_lives_until_the_run_ends(self, quick_dataset, monkeypatch):
+        """Done with its steps, the worker waits for the caller's last callback."""
+        use_worker(monkeypatch, True)
+        children = []
+
+        def count(record):
+            if record.iteration == 2:
+                time.sleep(0.5)  # time enough for a worker that does not wait to end
+            children.append(len(multiprocessing.active_children()))
+
+        train(build(small_model_config()), quick_dataset, quick_train_cfg(max_iterations=3), callbacks=[count])
+        assert children == [1, 1, 1]
+
     @pytest.mark.parametrize("worker", [True, False])
     def test_a_four_chunk_step_agrees_with_the_whole_batch_step(self, quick_dataset, monkeypatch, worker):
         monkeypatch.setattr(training, "_chunk_plan", even_chunks(4))
